@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qcore import LocalUnitary, PureState
+from .qcore import PAULI_I, PAULI_X, PAULI_Z, LocalUnitary, PureState
 from .bipartite import (
     SchmidtSplit,
     TauMatrix,
@@ -196,11 +196,6 @@ def _fold_gauge(params):
     return (folded, beta_out, 0.0, bp), flips
 
 
-_SZ = np.diag([1.0 + 0j, -1.0 + 0j])
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
-
-
 def _normalize_node(params, lu: LocalUnitary):
     """Bring all four angles into (-pi/2, pi/2] modulo pi, tracking the witness.
 
@@ -210,9 +205,7 @@ def _normalize_node(params, lu: LocalUnitary):
     out = []
     flips = 0
     for x in params:
-        y = (x + HALF_PI) % np.pi - HALF_PI
-        if y <= -HALF_PI + 1e-12:
-            y += np.pi
+        y = _normalize_half_open(x)
         shift = round((x - y) / np.pi)
         flips += abs(int(shift))
         # Snap to the gauge boundaries well above the dedup resolution so a
@@ -224,16 +217,16 @@ def _normalize_node(params, lu: LocalUnitary):
         out.append(float(y))
     folded, fold_flips = _fold_gauge(tuple(out))
     if (flips + fold_flips) % 2:
-        lu = lu.then(LocalUnitary((_SZ, _ID2, _ID2)))
+        lu = lu.then(LocalUnitary((PAULI_Z, PAULI_I, PAULI_I)))
     return folded, lu
 
 
 def _neighbors(params, lu: LocalUnitary):
     alpha, beta, gamma, bp = params
     u2, u3 = branch_unitaries(alpha, beta, gamma, bp)
-    yield (alpha, -beta, gamma, -bp), lu.then(LocalUnitary((_ID2, _SZ, _SZ)))
-    yield (alpha + HALF_PI, -beta, gamma + HALF_PI, bp), lu.then(LocalUnitary((_SZ, _ID2, _ID2)))
-    yield (-gamma, -beta, -alpha, -bp), lu.then(LocalUnitary((_SX, u2.conj().T, u3.conj().T)))
+    yield (alpha, -beta, gamma, -bp), lu.then(LocalUnitary((PAULI_I, PAULI_Z, PAULI_Z)))
+    yield (alpha + HALF_PI, -beta, gamma + HALF_PI, bp), lu.then(LocalUnitary((PAULI_Z, PAULI_I, PAULI_I)))
+    yield (-gamma, -beta, -alpha, -bp), lu.then(LocalUnitary((PAULI_X, u2.conj().T, u3.conj().T)))
 
 
 def _orbit(params):
@@ -289,7 +282,7 @@ def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:
     tr = 0.5 * (h[0, 0] + h[1, 1]).real
     theta = float(np.arccos(np.clip(tr, -1.0, 1.0)))
     if np.sin(theta) < 1e-12:
-        return (0.0 if tr > 0 else np.pi), _ID2.copy()
+        return (0.0 if tr > 0 else np.pi), PAULI_I.copy()
     ev, vec = np.linalg.eig(h)
     order = np.argsort(-np.angle(ev))
     vec = vec[:, order]
@@ -334,7 +327,11 @@ def canonical_decomposition(
     entanglement).
     """
     split = schmidt_split(state)
-    tm = tau_matrix(split)
+    return decompose_split(split, tau_matrix(split), omega_override)
+
+
+def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> CanonicalForm:
+    """``canonical_decomposition`` of the state whose split and tau matrix are given."""
     omega, case = solve_omega(tm)
     if omega_override is not None:
         omega = float(omega_override) % np.pi
@@ -348,13 +345,13 @@ def canonical_decomposition(
     u_omega = np.array(
         [[1, np.exp(1j * omega)], [-np.exp(-1j * omega), 1]], dtype=complex
     ) / np.sqrt(2)
-    witness = witness.then(LocalUnitary((u_omega, _ID2, _ID2)))
+    witness = witness.then(LocalUnitary((u_omega, PAULI_I, PAULI_I)))
 
     m0 = x0.reshape(2, 2)
     p0, sv, q0h = np.linalg.svd(m0)
     a, b = float(sv[0]), float(sv[1])
     l2, l3 = p0.conj().T, q0h.conj()
-    witness = witness.then(LocalUnitary((_ID2, l2, l3)))
+    witness = witness.then(LocalUnitary((PAULI_I, l2, l3)))
     m1 = l2 @ x1.reshape(2, 2) @ l3.T
 
     max_entangled = (a - b) <= TOL_MAXENT
@@ -365,10 +362,10 @@ def canonical_decomposition(
         hu, _, hvh = np.linalg.svd(h_raw)
         h_su2, root = _to_su2(hu @ hvh)
         witness = witness.then(
-            LocalUnitary((np.diag([1, root.conjugate()]), _ID2, _ID2))
+            LocalUnitary((np.diag([1, root.conjugate()]), PAULI_I, PAULI_I))
         )
         theta, s = _diagonalize_su2(h_su2)
-        witness = witness.then(LocalUnitary((_ID2, s.conj().T, s.T)))
+        witness = witness.then(LocalUnitary((PAULI_I, s.conj().T, s.T)))
         raw = (theta, 0.0, 0.0, 0.0)
         a = max(a, 1 / np.sqrt(2))
     else:
@@ -379,12 +376,12 @@ def canonical_decomposition(
         g3su, r3 = _to_su2(g3)
         g_phase = r2 * r3
         witness = witness.then(
-            LocalUnitary((np.diag([1, g_phase.conjugate()]), _ID2, _ID2))
+            LocalUnitary((np.diag([1, g_phase.conjugate()]), PAULI_I, PAULI_I))
         )
         # Strip the leading Z of the qubit-3 factor through the Schmidt frame
         # and pass its trailing Z through psi_s onto qubit 2.
         a3, b3, c3 = euler_zyz(g3su)
-        witness = witness.then(LocalUnitary((_ID2, zrot(a3), zrot(-a3))))
+        witness = witness.then(LocalUnitary((PAULI_I, zrot(a3), zrot(-a3))))
         u2_pre = zrot(a3) @ g2su @ zrot(c3)
         alpha, beta, gamma = euler_zyz(u2_pre)
         raw = (alpha, beta, gamma, b3)

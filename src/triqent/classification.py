@@ -26,7 +26,7 @@ from .bipartite import (
     tangle,
     tau_matrix,
 )
-from .canonical import canonical_decomposition
+from .canonical import decompose_split
 
 TOL_TANGLE = 1e-9
 TOL_J6 = 1e-9
@@ -243,15 +243,16 @@ def j_invariants(form: AcinForm) -> InvariantSet:
 
 
 def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
-    """All CLU criteria evaluated on one state."""
+    """The one pass over a state: each stage computed once, then every CLU criterion."""
     split = schmidt_split(state)
     tm = tau_matrix(split)
-    form = canonical_decomposition(state)
+    form = decompose_split(split, tm)
     c23, ca23 = concurrence_pair(tm)
     e1 = eof(form.concurrence_s())
     gap_min = abs(e1 - eof(c23))
     gap_max = abs(e1 - eof(ca23))
-    inv = j_invariants(acin_standard_form(state))
+    acin = acin_standard_form(state)
+    inv = j_invariants(acin)
 
     extremal = min(gap_min, gap_max) <= tol_clu
     ct_sq = tm.ctilde**2
@@ -289,6 +290,9 @@ def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
         "j6": inv.j6,
         "im_j6_test": j6_real,
         "invariants": inv,
+        "standard_form": acin,
+        "form": form,
+        "split": split,
         "tau": tm,
         "split_degenerate": split.degenerate,
     }
@@ -314,6 +318,10 @@ def is_clu(state: PureState, tol_clu: float = TOL_CLU) -> tuple[bool, dict]:
     overlap).  The extremality, overlap-reality and polynomial criteria are
     mandatory cross-checks: a decisive contradiction is a hard error, not a
     fallback.
+
+    The evidence dict holds each criterion's value and outcome, and the stages
+    they were computed from: ``split``, ``tau``, the canonical ``form``, the
+    ``standard_form`` and its ``invariants``.
     """
     ev = _clu_tests(state, tol_clu=tol_clu)
     verdict = ev["structural_clu"] or ev["im_j6_test"]
@@ -393,18 +401,17 @@ def classify(state: PureState, tol_clu: float = TOL_CLU) -> ClassLabel:
     invariant (at nonzero tangle) is class 4, positive real part class 2,
     negative class 3.
     """
-    clu, ev = is_clu(state, tol_clu=tol_clu)
+    return label_from_evidence(*is_clu(state, tol_clu=tol_clu))
+
+
+def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
+    """Subclass label from an ``is_clu`` verdict and its evidence dict.
+
+    Class 2 states must sit on the maximal branch, class 3 on the minimal one.
+    """
     inv = ev["invariants"]
-    evidence = {
-        "e1": ev["e1"],
-        "gap_min": ev["gap_min"],
-        "gap_max": ev["gap_max"],
-        "tangle": ev["tangle"],
-        "im_j6": float(inv.j6.imag),
-        "re_j6": float(inv.j6.real),
-        "res_eq23": ev["res_eq23"],
-        "res_eq24": ev["res_eq24"],
-    }
+    evidence = {k: ev[k] for k in ("e1", "gap_min", "gap_max", "tangle", "res_eq23", "res_eq24")}
+    evidence.update(im_j6=float(inv.j6.imag), re_j6=float(inv.j6.real))
     if not clu:
         return ClassLabel(clu=False, subclass=StateClass.NCLU, evidence=evidence)
     if ev["tangle"] <= TOL_TANGLE:
@@ -415,18 +422,11 @@ def classify(state: PureState, tol_clu: float = TOL_CLU) -> ClassLabel:
         sub = StateClass.CLASS2
     else:
         sub = StateClass.CLASS3
-    label = ClassLabel(clu=True, subclass=sub, evidence=evidence)
-    _assert_branch_consistency(label)
-    return label
-
-
-def _assert_branch_consistency(label: ClassLabel) -> None:
-    """Class 2 states sit on the maximal branch, class 3 on the minimal one."""
-    ev = label.evidence
-    if label.subclass is StateClass.CLASS2 and ev["gap_max"] > TOL_CLU:
-        raise AssertionError(f"class-2 state off the maximal branch: {ev}")
-    if label.subclass is StateClass.CLASS3 and ev["gap_min"] > TOL_CLU:
-        raise AssertionError(f"class-3 state off the minimal branch: {ev}")
+    if sub is StateClass.CLASS2 and ev["gap_max"] > TOL_CLU:
+        raise AssertionError(f"class-2 state off the maximal branch: {evidence}")
+    if sub is StateClass.CLASS3 and ev["gap_min"] > TOL_CLU:
+        raise AssertionError(f"class-3 state off the minimal branch: {evidence}")
+    return ClassLabel(clu=True, subclass=sub, evidence=evidence)
 
 
 def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:

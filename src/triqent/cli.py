@@ -20,9 +20,10 @@ from . import bipartite, canonical, gensim, measures, qcore
 from .classification import (
     TOL_CLU,
     AcinForm,
-    acin_standard_form,
-    classify as classify_state,
+    classify as classify_state,  # noqa: F401 (perfbench tests read cli.classify_state)
+    is_clu,
     j_invariants,
+    label_from_evidence,
     lu_equivalent,
     realified_det_tau,
 )
@@ -83,15 +84,12 @@ def state_to_record(state: PureState, rec_id: str, metadata: dict | None = None)
 
 
 def analyze_state(state: PureState, tol_clu: float = TOL_CLU) -> dict:
-    """Full analysis of one 3-qubit state."""
-    form = canonical.canonical_decomposition(state)
-    split = bipartite.schmidt_split(state)
-    tm = bipartite.tau_matrix(split)
+    """Full analysis of one 3-qubit state, from one pass over it."""
+    clu, ev = is_clu(state, tol_clu=tol_clu)
+    label = label_from_evidence(clu, ev)
+    form, tm, acin, inv = ev["form"], ev["tau"], ev["standard_form"], ev["invariants"]
     c23, ca23 = bipartite.concurrence_pair(tm)
     mset = measures.measure_set(form)
-    acin = acin_standard_form(state)
-    inv = j_invariants(acin)
-    label = classify_state(state, tol_clu=tol_clu)
     return {
         "canonical": {
             "a": form.a,
@@ -107,7 +105,7 @@ def analyze_state(state: PureState, tol_clu: float = TOL_CLU) -> dict:
         "bipartite": {
             "C23": float(c23),
             "Ca23": float(ca23),
-            "tangle": float(bipartite.tangle(tm)),
+            "tangle": float(ev["tangle"]),
             "p": float(tm.p),
         },
         "standard_form": {
@@ -325,18 +323,17 @@ def cmd_random(args) -> int:
 
 # --- verification suites -------------------------------------------------
 
-def _genuine_haar(seed: int) -> PureState:
-    while True:
-        state = qcore.haar_state(3, seed)
-        if qcore.genuine_tripartite(state):
-            return state
-        seed += 1_000_003
+def _lu_signature(state: PureState):
+    """Measures, J invariants and subclass of a state, from one pass over it."""
+    clu, ev = is_clu(state)
+    label = label_from_evidence(clu, ev)
+    return measures.measure_set(ev["form"]), ev["invariants"], label.subclass
 
 
 def _suite_monogamy(count, seed):
     worst = 0.0
     for i in range(count):
-        tm = bipartite.tau_matrix(bipartite.schmidt_split(_genuine_haar(seed + i)))
+        tm = bipartite.tau_matrix(bipartite.schmidt_split(qcore.genuine_haar_state(seed + i)))
         c23, ca23 = bipartite.concurrence_pair(tm)
         worst = max(worst, abs(ca23**2 - c23**2 - bipartite.tangle(tm)))
     return {"max_residual": worst, "passed": bool(worst < 1e-9), "tolerance": 1e-9}
@@ -346,15 +343,12 @@ def _suite_invariance(count, seed, dressings=20):
     worst_e = worst_j = 0.0
     stable = True
     for i in range(count):
-        state = _genuine_haar(seed + i)
-        m0 = measures.measure_set(canonical.canonical_decomposition(state))
-        inv0 = j_invariants(acin_standard_form(state))
-        lab0 = classify_state(state).subclass
+        state = qcore.genuine_haar_state(seed + i)
+        m0, inv0, lab0 = _lu_signature(state)
         for d in range(dressings):
             lu = qcore.random_local_unitary(3, seed * 100_003 + i * 1009 + d)
             dressed = qcore.apply_local(state, lu)
-            m1 = measures.measure_set(canonical.canonical_decomposition(dressed))
-            inv1 = j_invariants(acin_standard_form(dressed))
+            m1, inv1, lab1 = _lu_signature(dressed)
             worst_e = max(
                 worst_e,
                 abs(m0.e1 - m1.e1), abs(m0.e2 - m1.e2), abs(m0.e3 - m1.e3),
@@ -365,7 +359,7 @@ def _suite_invariance(count, seed, dressings=20):
                 max(abs(x - y) for x, y in zip(inv0.reals, inv1.reals)),
                 abs(abs(inv0.j6) - abs(inv1.j6)),
             )
-            if m0.e6 != m1.e6 or classify_state(dressed).subclass is not lab0:
+            if m0.e6 != m1.e6 or lab1 is not lab0:
                 stable = False
     passed = worst_e < 1e-8 and worst_j < 1e-8 and stable
     return {
@@ -455,10 +449,10 @@ def _suite_roundtrip(count, seed):
     worst_branch = worst_wit = 0.0
     equivalent = True
     for i in range(count):
-        state = _genuine_haar(seed + i)
-        form = canonical.canonical_decomposition(state)
-        split = bipartite.schmidt_split(state)
-        x0, x1 = canonical._branch_states(split, form.omega)
+        state = qcore.genuine_haar_state(seed + i)
+        _, ev = is_clu(state)
+        form = ev["form"]
+        x0, x1 = canonical._branch_states(ev["split"], form.omega)
         worst_branch = max(
             worst_branch,
             abs(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PureState, entropy, partial_trace
+from .qcore import PAULIS, PureState, entropy, partial_trace
 from .bipartite import (
     binary_entropy,
     binary_entropy_inverse_upper,
@@ -188,14 +188,6 @@ def _controlled(u: np.ndarray, target: int) -> np.ndarray:
     return out
 
 
-_PAULI2 = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def s_psi_set(form: CanonicalForm) -> SPsiSet:
     """The four generation-process states U_c13 U_c12 (sigma_n on qubit 2)|+>|psi_s>."""
     a, b = form.a, form.b
@@ -205,7 +197,7 @@ def s_psi_set(form: CanonicalForm) -> SPsiSet:
     base = np.concatenate([psi_s, psi_s]) / np.sqrt(2)
     members = []
     for n in range(4):
-        sigma = np.kron(np.eye(2), np.kron(_PAULI2[n], np.eye(2)))
+        sigma = np.kron(np.eye(2), np.kron(PAULIS[n], np.eye(2)))
         members.append(PureState(3, gate @ sigma @ base))
     return SPsiSet(tuple(members))
 

@@ -241,6 +241,15 @@ def haar_state(n: int, seed: int) -> PureState:
     return PureState(n, z / np.linalg.norm(z))
 
 
+def genuine_haar_state(seed: int) -> PureState:
+    """3-qubit Haar state that is genuinely tripartite (reseeds on the rare miss)."""
+    while True:
+        state = haar_state(3, seed)
+        if genuine_tripartite(state):
+            return state
+        seed += 1_000_003
+
+
 def real_state(n: int, seed: int) -> PureState:
     """Random state with real amplitudes (normalized Gaussian vector)."""
     if not MIN_QUBITS <= n <= MAX_QUBITS:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from triqent import qcore
+from triqent.qcore import genuine_haar_state as genuine_haar  # noqa: F401 (imported by the test modules)
 
 # Deterministic property testing: identical examples on every run.
 settings.register_profile("deterministic", derandomize=True)
@@ -17,15 +18,6 @@ def ghz():
 @pytest.fixture
 def w():
     return qcore.w_state()
-
-
-def genuine_haar(seed: int) -> qcore.PureState:
-    """Haar state guaranteed genuinely tripartite (reseeds on the rare miss)."""
-    while True:
-        state = qcore.haar_state(3, seed)
-        if qcore.genuine_tripartite(state):
-            return state
-        seed += 1_000_003
 
 
 def random_acin_state(rng) -> tuple:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from triqent import qcore
+from triqent import bipartite, canonical, classification, cli, gensim, measures, qcore
 from triqent.cli import (
     _class_state,
     analyze_state,
@@ -42,6 +42,21 @@ def product_record():
     amps = [[0.0, 0.0]] * 8
     amps[0] = [1.0, 0.0]
     return {"id": "product", "amplitudes": amps, "metadata": {}}
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every binding of it in the package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for module in (qcore, bipartite, canonical, measures, classification, gensim, cli):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestRecordIO:
@@ -121,6 +136,19 @@ class TestAnalyze:
         _, out1 = run_cli(["analyze", str(path)], capsys)
         _, out2 = run_cli(["analyze", str(path)], capsys)
         assert out1 == out2
+
+    def test_computes_each_stage_once(self, monkeypatch):
+        stages = {
+            fn.__name__: count_calls(monkeypatch, fn)
+            for fn in (
+                bipartite.schmidt_split,
+                bipartite.tau_matrix,
+                canonical.decompose_split,
+                classification.acin_standard_form,
+            )
+        }
+        analyze_state(qcore.genuine_haar_state(3))
+        assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(stages, 1)
 
 
 class TestSubcommands:
