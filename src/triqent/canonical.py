@@ -196,11 +196,11 @@ def _fold_gauge(params):
     return (folded, beta_out, 0.0, bp), flips
 
 
-def _normalize_node(params, lu: LocalUnitary):
-    """Bring all four angles into (-pi/2, pi/2] modulo pi, tracking the witness.
+def _normalize_node(params):
+    """Bring all four angles into (-pi/2, pi/2] modulo pi.
 
-    Shifting any angle by pi flips the sign of the second branch, which is
-    the local unitary diag(1, -1) on qubit 1.
+    Returns (angles, parity): shifting any angle by pi flips the sign of the
+    second branch, so an odd number of shifts costs diag(1, -1) on qubit 1.
     """
     out = []
     flips = 0
@@ -216,54 +216,64 @@ def _normalize_node(params, lu: LocalUnitary):
             y = HALF_PI
         out.append(float(y))
     folded, fold_flips = _fold_gauge(tuple(out))
-    if (flips + fold_flips) % 2:
-        lu = lu.then(LocalUnitary((PAULI_Z, PAULI_I, PAULI_I)))
-    return folded, lu
+    return folded, (flips + fold_flips) % 2
 
 
-def _neighbors(params, lu: LocalUnitary):
-    alpha, beta, gamma, bp = params
-    u2, u3 = branch_unitaries(alpha, beta, gamma, bp)
-    yield (alpha, -beta, gamma, -bp), lu.then(LocalUnitary((PAULI_I, PAULI_Z, PAULI_Z)))
-    yield (alpha + HALF_PI, -beta, gamma + HALF_PI, bp), lu.then(LocalUnitary((PAULI_Z, PAULI_I, PAULI_I)))
-    yield (-gamma, -beta, -alpha, -bp), lu.then(LocalUnitary((PAULI_X, u2.conj().T, u3.conj().T)))
+def _moves(params):
+    """The three allowed moves: (beta, beta') sign flip, half-pi shift, swap."""
+    al, be, ga, bp = params
+    return (al, -be, ga, -bp), (al + HALF_PI, -be, ga + HALF_PI, bp), (-ga, -be, -al, -bp)
 
 
 def _orbit(params):
-    """All parameter tuples reachable by the allowed local-unitary moves."""
-    start, lu0 = _normalize_node(params, LocalUnitary.identity(3))
-    key0 = tuple(np.round(start, 10) + 0.0)
-    seen = {key0: (start, lu0)}
-    frontier = [(start, lu0)]
+    """(node, path) for every tuple the allowed moves reach, searched on angles
+    alone; ``path`` holds the ``_moves`` indices that first reached the node."""
+    start, _ = _normalize_node(params)
+    seen = {tuple(np.round(start, 10) + 0.0): (start, ())}
+    frontier = [(start, ())]
     while frontier:
-        node, lu = frontier.pop()
-        for raw, nlu in _neighbors(node, lu):
-            cand, nlu = _normalize_node(raw, nlu)
+        node, path = frontier.pop()
+        for k, raw in enumerate(_moves(node)):
+            cand, _ = _normalize_node(raw)
             key = tuple(np.round(cand, 10) + 0.0)
             if key not in seen:
-                seen[key] = (cand, nlu)
-                frontier.append((cand, nlu))
+                seen[key] = (cand, path + (k,))
+                frontier.append(seen[key])
     return list(seen.values())
 
 
-def _canonicalize_with_witness(raw_params) -> tuple[tuple, LocalUnitary]:
-    """Canonical representative of the parameter orbit plus the LU reaching it.
+def _canonical_node(raw_params) -> tuple[tuple, tuple]:
+    """Canonical representative of the parameter orbit plus the path reaching it.
 
     Candidates are restricted to beta, beta' in [0, pi/2]; the unique
     representative is selected by |alpha| >= |gamma| and then by the largest
     (alpha, gamma, beta, beta') tuple.
     """
-    nodes = _orbit(raw_params)
     candidates = [
-        ((a, 0.0 if abs(b) < 1e-12 else b, g, 0.0 if abs(v) < 1e-12 else v), lu)
-        for (a, b, g, v), lu in nodes
+        ((a, 0.0 if abs(b) < 1e-12 else b, g, 0.0 if abs(v) < 1e-12 else v), path)
+        for (a, b, g, v), path in _orbit(raw_params)
         if b >= -1e-12 and v >= -1e-12
     ]
     candidates = [c for c in candidates if abs(c[0][0]) >= abs(c[0][2]) - 1e-12]
     if not candidates:
         raise AssertionError("parameter orbit has no canonical representative")
-    key = lambda c: tuple(np.round(c[0], 10))
-    return max(candidates, key=key)
+    return max(candidates, key=lambda c: tuple(np.round(c[0], 10)))
+
+
+def _path_witness(raw, path) -> LocalUnitary:
+    """Local unitary from the state of ``raw`` to that of the node ``path`` reaches:
+    each move's unitary, then a qubit-1 sign flip after every odd normalisation."""
+    flip = LocalUnitary((PAULI_Z, PAULI_I, PAULI_I))
+    node, parity = _normalize_node(raw)
+    lu = LocalUnitary.identity(3).then(flip) if parity else LocalUnitary.identity(3)
+    for k in path:
+        u2, u3 = branch_unitaries(*node)
+        move = ((PAULI_I, PAULI_Z, PAULI_Z), flip.factors, (PAULI_X, u2.conj().T, u3.conj().T))
+        lu = lu.then(LocalUnitary(move[k]))
+        node, parity = _normalize_node(_moves(node)[k])
+        if parity:
+            lu = lu.then(flip)
+    return lu
 
 
 def canonicalize_params(raw):
@@ -273,8 +283,7 @@ def canonicalize_params(raw):
     transformation group (the orientation-reversing swap that corresponds
     to complex conjugation is never applied).
     """
-    params, _ = _canonicalize_with_witness(tuple(float(x) for x in raw))
-    return params
+    return _canonical_node(tuple(float(x) for x in raw))[0]
 
 
 def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -386,9 +395,8 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> 
         alpha, beta, gamma = euler_zyz(u2_pre)
         raw = (alpha, beta, gamma, b3)
 
-    params, move_lu = _canonicalize_with_witness(raw)
-    witness = witness.then(move_lu)
-    alpha, beta, gamma, beta_prime = params
+    (alpha, beta, gamma, beta_prime), path = _canonical_node(raw)
+    witness = witness.then(_path_witness(raw, path))
 
     form = CanonicalForm(
         a=min(a, 1.0),

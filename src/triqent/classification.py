@@ -431,8 +431,11 @@ def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
 
 def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:
     """(equal, conjugate_pair) decided through the complete invariant set."""
-    inv1 = j_invariants(acin_standard_form(s1))
-    inv2 = j_invariants(acin_standard_form(s2))
+    return invariants_equivalent(*(j_invariants(acin_standard_form(s)) for s in (s1, s2)))
+
+
+def invariants_equivalent(inv1: InvariantSet, inv2: InvariantSet) -> tuple[bool, bool]:
+    """(equal, conjugate_pair): the invariant sets match, or match up to conjugation."""
     reals_match = all(abs(x - y) <= TOL_INV for x, y in zip(inv1.reals, inv2.reals))
     equal = reals_match and abs(inv1.j6 - inv2.j6) <= TOL_INV
     conj_pair = (

@@ -20,11 +20,12 @@ from . import bipartite, canonical, gensim, measures, qcore
 from .classification import (
     TOL_CLU,
     AcinForm,
+    acin_standard_form,
     classify as classify_state,  # noqa: F401 (perfbench tests read cli.classify_state)
+    invariants_equivalent,
     is_clu,
     j_invariants,
     label_from_evidence,
-    lu_equivalent,
     realified_det_tau,
 )
 from .qcore import BiseparableInput, PureState
@@ -464,7 +465,7 @@ def _suite_roundtrip(count, seed):
         rot = qcore.apply_local(state, form.witness)
         ov = abs(np.vdot(rot.amplitudes, rec.amplitudes))
         worst_wit = max(worst_wit, 1 - ov)
-        eq, _ = lu_equivalent(rec, state)
+        eq, _ = invariants_equivalent(j_invariants(acin_standard_form(rec)), ev["invariants"])
         equivalent = equivalent and eq
     passed = worst_branch < 1e-9 and worst_wit < 1e-9 and equivalent
     return {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .qcore import LocalUnitary, PureState, genuine_tripartite, permute_qubits
 from .canonical import CanonicalForm, branch_unitaries
-from .classification import acin_standard_form, j_invariants, TOL_INV
+from .classification import acin_standard_form, invariants_equivalent, j_invariants
 from .measures import s_psi_set
 
 _BELL = (
@@ -175,10 +175,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
                         raise ClosureViolation("vanishing probability inside the protocol")
                     inv = j_invariants(acin_standard_form(final))
                     matches = tuple(
-                        i
-                        for i, mi in enumerate(member_invs)
-                        if all(abs(x - y) <= TOL_INV for x, y in zip(inv.reals, mi.reals))
-                        and abs(inv.j6 - mi.j6) <= TOL_INV
+                        i for i, mi in enumerate(member_invs) if invariants_equivalent(inv, mi)[0]
                     )
                     if not matches:
                         raise ClosureViolation(

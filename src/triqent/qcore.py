@@ -141,9 +141,6 @@ class LocalUnitary:
             raise ValueError("qubit count mismatch")
         return LocalUnitary(tuple(v @ u for u, v in zip(self.factors, other.factors)))
 
-    def dagger(self) -> "LocalUnitary":
-        return LocalUnitary(tuple(u.conj().T for u in self.factors))
-
     def conj(self) -> "LocalUnitary":
         return LocalUnitary(tuple(u.conj() for u in self.factors))
 
@@ -222,12 +219,6 @@ def entropy(rho: DensityOperator) -> float:
     ev = np.where(ev < 0, np.where(ev >= -EIG_CLIP, 0.0, ev), ev)
     if ev.min() < 0:
         raise ValueError("eigenvalue below clipping tolerance")
-    pos = ev[ev > 0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
-def entropy_from_eigs(eigs) -> float:
-    ev = np.clip(np.asarray(eigs, dtype=float), 0.0, 1.0)
     pos = ev[ev > 0]
     return float(-(pos * np.log2(pos)).sum())
 

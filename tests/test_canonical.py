@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqent import qcore
+from triqent import canonical, qcore
 from triqent.bipartite import TauMatrix, _bilinear, eof, schmidt_split, tau_matrix
 from triqent.canonical import (
     OmegaCase,
     _branch_states,
+    _canonical_node,
     _orbit,
+    _path_witness,
     branch_unitaries,
     canonical_decomposition,
     canonicalize_params,
@@ -246,6 +248,54 @@ class TestCanonicalizeParams:
         s_out = reconstruct_state(form_from_params(0.8, *out))
         equal, _ = lu_equivalent(s_raw, s_out)
         assert equal
+
+    def test_orbit_builds_no_witness(self, monkeypatch):
+        # Only decompose_split needs a witness; the orbit search itself runs
+        # on angles alone, generic or at a gauge edge with pi-shifted angles.
+        class NoWitness:
+            def __init__(self, *args):
+                raise AssertionError("orbit search built a LocalUnitary")
+
+            identity = classmethod(__init__)
+
+        monkeypatch.setattr(canonical, "LocalUnitary", NoWitness)
+        assert np.allclose(canonicalize_params((0.2, 0.3, 0.4, 0.1)), (-0.4, 0.3, -0.2, 0.1))
+        edge = canonicalize_params((2.9, -1e-13, 2.5, np.pi - 1e-13))
+        assert edge[1] == 0.0 and edge[2] == 0.0 and edge[3] == 0.0
+
+
+def _two_branch_state(a, raw) -> PureState:
+    """The literal two-branch state of (possibly out-of-range) angles."""
+    psi_s = np.array([a, 0, 0, np.sqrt(1 - a**2)], dtype=complex)
+    u2, u3 = branch_unitaries(*raw)
+    return PureState(3, np.concatenate([psi_s, np.kron(u2, u3) @ psi_s]) / np.sqrt(2))
+
+
+def _path_witness_misalignment(a, raw) -> float:
+    params, path = _canonical_node(raw)
+    rot = apply_local(_two_branch_state(a, raw), _path_witness(raw, path))
+    rec = reconstruct_state(form_from_params(a, *params))
+    return 1 - abs(np.vdot(rot.amplitudes, rec.amplitudes))
+
+
+_GAUGE_EDGE_TUPLES = [
+    (al, be, ga, bp)
+    for al, ga in ((0.3, -1.1), (2.9, -2.4), (-3.1, 1.6))
+    for be in (0.0, HALF_PI, -HALF_PI)
+    for bp in (0.0, HALF_PI)
+] + [(HALF_PI, 0.0, 0.0, 0.0)]
+
+
+class TestPathWitness:
+    @pytest.mark.parametrize("raw", _GAUGE_EDGE_TUPLES)
+    @pytest.mark.parametrize("a", [0.8, 1 / np.sqrt(2)])
+    def test_gauge_edges(self, a, raw):
+        assert _path_witness_misalignment(a, raw) <= 1e-12
+
+    @given(*[st.floats(-3.2, 3.2)] * 4)
+    @settings(max_examples=300, deadline=None)
+    def test_every_path(self, al, be, ga, bp):
+        assert _path_witness_misalignment(0.8, (al, be, ga, bp)) <= 1e-12
 
 
 def _wrap(raw):
