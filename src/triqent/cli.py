@@ -59,16 +59,22 @@ def load_records(text: str) -> list[dict]:
 
 
 def record_to_state(record: dict) -> PureState:
+    rec_id = record.get("id")
     amps = record.get("amplitudes")
-    if amps is None or len(amps) != 8:
-        raise ValueError(f"record {record.get('id')!r}: expected 8 amplitudes")
-    vec = np.array([complex(re, im) for re, im in amps])
+    if not isinstance(amps, list) or len(amps) != 8:
+        raise ValueError(f"record {rec_id!r}: expected 8 amplitudes")
+    try:
+        vec = np.array([complex(re, im) for re, im in amps])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"record {rec_id!r}: amplitudes must be [re, im] number pairs") from exc
+    if not np.isfinite(vec).all():
+        raise ValueError(f"record {rec_id!r}: non-finite amplitude")
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ValueError(f"record {record.get('id')!r}: not normalizable")
+    if not 1e-12 <= norm < np.inf:
+        raise ValueError(f"record {rec_id!r}: not normalizable")
     if abs(norm - 1) > 1e-12:
         print(
-            f"warning: record {record.get('id')!r} renormalized "
+            f"warning: record {rec_id!r} renormalized "
             f"(|norm-1| = {abs(norm - 1):.2e})",
             file=sys.stderr,
         )
@@ -131,22 +137,23 @@ def analyze_state(state: PureState, tol_clu: float = TOL_CLU) -> dict:
     }
 
 
-def _analyze_records(records, split, tol_clu, with_timing):
+def _analyze_records(args, per_state) -> list[dict]:
+    """Apply ``per_state`` to each input record's state; a bad record becomes an error report."""
     reports = []
-    for idx, record in enumerate(records):
+    for idx, record in enumerate(load_records(_read_input(args.input))):
         rec_id = str(record.get("id", idx))
         report = {"id": rec_id}
         started = time.perf_counter()
         try:
             state = record_to_state(record)
-            if split != 1:
-                state = qcore.permute_qubits(state, _SPLIT_ORDER[split])
-            report.update(analyze_state(state, tol_clu=tol_clu))
+            if args.split != 1:
+                state = qcore.permute_qubits(state, _SPLIT_ORDER[args.split])
+            report.update(per_state(state))
         except BiseparableInput:
             report["error"] = "biseparable"
         except ValueError as exc:
             report["error"] = str(exc)
-        if with_timing:
+        if args.timing:
             report["timing_ms"] = round(1000 * (time.perf_counter() - started), 3)
         reports.append(report)
     return reports
@@ -194,8 +201,7 @@ def _dump(obj) -> str:
 
 
 def cmd_analyze(args) -> int:
-    records = load_records(_read_input(args.input))
-    reports = _analyze_records(records, args.split, args.tol_clu, args.timing)
+    reports = _analyze_records(args, lambda state: analyze_state(state, tol_clu=args.tol_clu))
     if args.table:
         _emit(_render_table(reports), args.out)
     else:
@@ -204,8 +210,7 @@ def cmd_analyze(args) -> int:
 
 
 def _subreport(args, keys) -> int:
-    records = load_records(_read_input(args.input))
-    reports = _analyze_records(records, args.split, args.tol_clu, args.timing)
+    reports = _analyze_records(args, lambda state: analyze_state(state, tol_clu=args.tol_clu))
     slim = []
     for r in reports:
         item = {"id": r["id"]}
@@ -237,34 +242,18 @@ def cmd_standard_form(args) -> int:
     return _subreport(args, ["standard_form", "invariants"])
 
 
+def _gensim_report(state: PureState) -> dict:
+    outcomes = gensim.enumerate_generation(canonical.canonical_decomposition(state))
+    return {
+        "outcomes": len(outcomes),
+        "probability_deviation": float(max(abs(o.probability - 1 / 256) for o in outcomes)),
+        "member_aggregates": [float(x) for x in gensim.member_aggregates(outcomes)],
+        "index_counts": [sum(1 for o in outcomes if o.s_psi_index == i) for i in range(4)],
+    }
+
+
 def cmd_gensim(args) -> int:
-    records = load_records(_read_input(args.input))
-    reports = []
-    for idx, record in enumerate(records):
-        rec_id = str(record.get("id", idx))
-        try:
-            state = record_to_state(record)
-            if args.split != 1:
-                state = qcore.permute_qubits(state, _SPLIT_ORDER[args.split])
-            form = canonical.canonical_decomposition(state)
-            outcomes = gensim.enumerate_generation(form)
-            agg = gensim.member_aggregates(outcomes)
-            reports.append(
-                {
-                    "id": rec_id,
-                    "outcomes": len(outcomes),
-                    "probability_deviation": float(
-                        max(abs(o.probability - 1 / 256) for o in outcomes)
-                    ),
-                    "member_aggregates": [float(x) for x in agg],
-                    "index_counts": [
-                        sum(1 for o in outcomes if o.s_psi_index == i) for i in range(4)
-                    ],
-                }
-            )
-        except BiseparableInput:
-            reports.append({"id": rec_id, "error": "biseparable"})
-    _emit(_dump(reports), args.out)
+    _emit(_dump(_analyze_records(args, _gensim_report)), args.out)
     return 0
 
 

@@ -1,9 +1,11 @@
 """Teleportation-based generation of 3-qubit states.
 
 Each controlled gate is implemented by consuming its channel state (the
-4-qubit encoding of the gate) with two Bell measurements; enumerating all
-measurement outcomes reproduces the closed four-state family of the
-two-branch decomposition, every outcome occurring with probability 1/256.
+4-qubit encoding of the gate) with two Bell measurements (gate
+teleportation).  One contraction with the Bell basis gives the post states
+of all 16 outcome pairs of a gate at once, so two contractions give all 256
+outcomes of the protocol; they reproduce the closed four-state family of
+the two-branch decomposition, every outcome occurring with probability 1/256.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import LocalUnitary, PureState, genuine_tripartite, permute_qubits
+from .qcore import PureState, genuine_tripartite
 from .canonical import CanonicalForm, branch_unitaries
 from .classification import acin_standard_form, invariants_equivalent, j_invariants
 from .measures import s_psi_set
@@ -23,6 +25,9 @@ _BELL = (
     np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),  # psi- (sigma_y)
     np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),  # phi- (sigma_z)
 )
+
+# Outcome probabilities below this count as vanishing.
+_PROB_FLOOR = 1e-14
 
 
 class ClosureViolation(RuntimeError):
@@ -84,7 +89,7 @@ def bell_project(state: PureState, pair, outcome: int) -> tuple[float, PureState
     Outcome indexing: 0 phi+, 1 psi+, 2 psi-, 3 phi- (matching the Pauli
     corrections identity, x, y, z of the teleportation identity).  Returns
     (probability, renormalized post state); measuring the whole register or
-    hitting a probability below 1e-14 yields a ``None`` post state.
+    hitting a probability below ``_PROB_FLOOR`` yields a ``None`` post state.
     """
     qi, qj = pair
     n = state.n_qubits
@@ -95,46 +100,29 @@ def bell_project(state: PureState, pair, outcome: int) -> tuple[float, PureState
     bell = _BELL[outcome].reshape(2, 2)
     post = np.tensordot(bell.conj(), state.tensor(), axes=([0, 1], [qi - 1, qj - 1]))
     amp = post.reshape(-1)
-    prob = float(np.linalg.norm(amp) ** 2)
-    if prob < 1e-14 or n == 2:
-        return prob if prob >= 1e-14 else 0.0, None
-    return prob, PureState(n - 2, amp / np.linalg.norm(amp))
+    norm = np.linalg.norm(amp)
+    prob = float(norm**2)
+    if prob < _PROB_FLOOR or n == 2:
+        return prob if prob >= _PROB_FLOOR else 0.0, None
+    return prob, PureState(n - 2, amp / norm)
 
 
-def _teleport_gate(state: PureState, gate: ControlledGate, k: int, l: int):
-    """Apply one controlled gate by gate teleportation with fixed Bell outcomes.
+def _teleport(psi: np.ndarray, gate: ControlledGate) -> np.ndarray:
+    """Teleport ``gate`` through its channel state for all 16 Bell outcomes.
 
-    Returns (probability, post 3-qubit state in the original qubit order).
+    ``psi`` holds 3-qubit amplitude tensors of shape (..., 2, 2, 2).  The
+    outcome k measures (cb, control) and l measures (tb, target) in the
+    Bell basis; the ancillas ca and ta then take over the control and
+    target roles.  Returns the unnormalised post states, (..., 4, 4, 2, 2, 2).
     """
-    cj = cj_state(gate)
-    joint = PureState(7, np.kron(cj.amplitudes, state.amplitudes))
-    labels = ["ca", "cb", "ta", "tb", "s1", "s2", "s3"]
-    ctrl_sys = f"s{gate.control_qubit}"
-    targ_sys = f"s{gate.target_qubit}"
-
-    def pos(name):
-        return labels.index(name) + 1
-
-    p1, joint = bell_project(joint, (pos("cb"), pos(ctrl_sys)), k)
-    if joint is None:
-        return 0.0, None
-    labels = [x for x in labels if x not in ("cb", ctrl_sys)]
-    p2, joint = bell_project(joint, (pos("tb"), pos(targ_sys)), l)
-    if joint is None:
-        return 0.0, None
-    labels = [x for x in labels if x not in ("tb", targ_sys)]
-
-    # Remaining ancilla qubits take over the measured system roles.
-    role = {}
-    for idx, name in enumerate(labels):
-        if name == "ca":
-            role[gate.control_qubit] = idx + 1
-        elif name == "ta":
-            role[gate.target_qubit] = idx + 1
-        else:
-            role[int(name[1])] = idx + 1
-    order = tuple(role[q] for q in (1, 2, 3))
-    return p1 * p2, permute_qubits(joint, order)
+    axes = (gate.control_qubit - 4, gate.target_qubit - 4)
+    bell = np.array(_BELL).reshape(4, 2, 2).conj()
+    # a, x, b, y: channel qubits ca, cb, ta, tb; c, t: control, target; r: the third.
+    post = np.einsum(
+        "kxc,lyt,axby,...rct->...klrab",
+        bell, bell, cj_state(gate).tensor(), np.moveaxis(psi, axes, (-2, -1)),
+    )
+    return np.moveaxis(post, (-2, -1), axes)
 
 
 def _plus_psi_s(form: CanonicalForm) -> PureState:
@@ -145,15 +133,18 @@ def _plus_psi_s(form: CanonicalForm) -> PureState:
 def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     """All 256 Bell-outcome combinations of the two-gate generation protocol.
 
-    Every outcome has probability 1/256 and is LU-equivalent to a member of
-    the four-state family of ``form``; outcomes matching several mutually
-    LU-equivalent members share their probability equally among them when
-    aggregating per member.
+    The gates C-U2 (1 -> 2) and C-U3 (1 -> 3) are teleported onto
+    (|0> + |1>)|psi_s>/sqrt(2) one after the other, each for all 16 of its
+    outcome pairs at once; outcome ((k, l), (m, n)) is listed in that
+    lexicographic order.  Every outcome has probability 1/256 and is
+    LU-equivalent to a member of the four-state family of ``form``, which
+    is checked on J invariants, never inferred from the Pauli corrections;
+    outcomes matching several mutually LU-equivalent members share their
+    probability equally among them when aggregating per member.
     """
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    gate12 = ControlledGate(1, 2, u2)
-    gate13 = ControlledGate(1, 3, u3)
-    base = _plus_psi_s(form)
+    base = _plus_psi_s(form).tensor()
+    finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3))
 
     members = s_psi_set(form).members
     member_invs = []
@@ -163,33 +154,26 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
         member_invs.append(j_invariants(acin_standard_form(m)))
 
     outcomes = []
-    for k in range(4):
-        for l in range(4):
-            p12, mid = _teleport_gate(base, gate12, k, l)
-            if mid is None:
-                raise ClosureViolation("vanishing probability inside the protocol")
-            for m in range(4):
-                for n in range(4):
-                    p13, final = _teleport_gate(mid, gate13, m, n)
-                    if final is None:
-                        raise ClosureViolation("vanishing probability inside the protocol")
-                    inv = j_invariants(acin_standard_form(final))
-                    matches = tuple(
-                        i for i, mi in enumerate(member_invs) if invariants_equivalent(inv, mi)[0]
-                    )
-                    if not matches:
-                        raise ClosureViolation(
-                            f"outcome {(k, l, m, n)} not in the generation family"
-                        )
-                    outcomes.append(
-                        GenerationOutcome(
-                            bell_results=((k, l), (m, n)),
-                            probability=p12 * p13,
-                            final_state=final,
-                            s_psi_index=min(matches),
-                            matched_members=matches,
-                        )
-                    )
+    for k, l, m, n in np.ndindex(4, 4, 4, 4):
+        amp = finals[k, l, m, n].reshape(-1)
+        norm = np.linalg.norm(amp)
+        prob = float(norm**2)
+        if prob < _PROB_FLOOR:
+            raise ClosureViolation("vanishing probability inside the protocol")
+        final = PureState(3, amp / norm)
+        inv = j_invariants(acin_standard_form(final))
+        matches = tuple(i for i, mi in enumerate(member_invs) if invariants_equivalent(inv, mi)[0])
+        if not matches:
+            raise ClosureViolation(f"outcome {(k, l, m, n)} not in the generation family")
+        outcomes.append(
+            GenerationOutcome(
+                bell_results=((k, l), (m, n)),
+                probability=prob,
+                final_state=final,
+                s_psi_index=min(matches),
+                matched_members=matches,
+            )
+        )
     return outcomes
 
 

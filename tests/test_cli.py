@@ -83,6 +83,28 @@ class TestRecordIO:
         with pytest.raises(ValueError, match="8 amplitudes"):
             record_to_state({"id": "bad", "amplitudes": [[1, 0]]})
 
+    @pytest.mark.parametrize(
+        "amps,message",
+        [
+            ([1, 0, 0, 0, 0, 0, 0, 0], "number pairs"),
+            ([["1", 0]] + [[0, 0]] * 7, "number pairs"),
+            ([[1, 0, 0]] + [[0, 0]] * 7, "number pairs"),
+            ([[float("nan"), 0]] + [[1, 0]] * 7, "non-finite"),
+            ([[1, float("inf")]] + [[0, 0]] * 7, "non-finite"),
+        ],
+        ids=["bare-numbers", "string-part", "triple", "nan", "inf"],
+    )
+    def test_rejects_malformed_amplitudes(self, amps, message, tmp_path, capsys):
+        bad = {"id": "bad", "amplitudes": amps}
+        with pytest.raises(ValueError, match=f"record 'bad': .*{message}"):
+            record_to_state(bad)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([bad, ghz_record()]))
+        code, out = run_cli(["analyze", str(path)], capsys)
+        reports = json.loads(out)
+        assert code == 0 and message in reports[0]["error"]
+        assert reports[1]["classification"]["class"] == "Class4"
+
 
 class TestAnalyze:
     def test_ghz_report(self, tmp_path, capsys):
@@ -175,6 +197,16 @@ class TestSubcommands:
         assert rep["outcomes"] == 256
         assert rep["probability_deviation"] < 1e-12
         assert rep["member_aggregates"] == pytest.approx([0.25] * 4, abs=1e-12)
+
+    def test_gensim_reports_a_malformed_record_and_goes_on(self, tmp_path, capsys):
+        bad = {"id": "short", "amplitudes": [[1, 0]] * 7}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([bad, ghz_record()]))
+        code, out = run_cli(["gensim", str(path)], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        assert reports[0] == {"id": "short", "error": "record 'short': expected 8 amplitudes"}
+        assert reports[1]["id"] == "ghz" and reports[1]["outcomes"] == 256
 
 
 class TestRandom:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from triqent import qcore
+from triqent import gensim, qcore
 from triqent.bipartite import binary_entropy
 from triqent.canonical import canonical_decomposition, form_from_params, zrot
 from triqent.classification import acin_standard_form, j_invariants, lu_equivalent
 from triqent.gensim import (
     ControlledGate,
-    _teleport_gate,
+    _teleport,
     bell_project,
     cj_state,
     enumerate_generation,
@@ -112,24 +112,50 @@ class TestBellProject:
             bell_project(state, (1, 2), 5)
 
 
-class TestTeleportation:
-    def test_identity_gate_reproduces_input(self):
-        inp = genuine_haar(77)
-        prob, out = _teleport_gate(inp, ControlledGate(1, 2, np.eye(2)), 0, 0)
-        assert abs(prob - 1 / 16) < 1e-12
-        assert out.isclose(inp, atol=1e-12, up_to_phase=True)
+def on_qubits(ops: dict) -> np.ndarray:
+    """8x8 operator acting with ``ops[q]`` on qubit q and the identity elsewhere."""
+    out = np.eye(1)
+    for q in (1, 2, 3):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
 
-    @pytest.mark.parametrize("target", [2, 3])
-    def test_reference_outcome_applies_gate(self, target):
-        inp = genuine_haar(78)
+
+class TestTeleportation:
+    @pytest.mark.parametrize("control,target", [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_every_outcome_applies_gate(self, control, target):
+        # Outcome (k, l) leaves CU (sigma_k on control x sigma_l on target) psi / 4.
+        inp = genuine_haar(78 + control)
         u = qcore.haar_unitary(9 + target)
-        prob, out = _teleport_gate(inp, ControlledGate(1, target, u), 0, 0)
-        expected = PureState(3, controlled_matrix(u, target) @ inp.amplitudes)
-        assert abs(prob - 1 / 16) < 1e-12
-        assert out.isclose(expected, atol=1e-12, up_to_phase=True)
+        p0, p1 = np.diag([1, 0]), np.diag([0, 1])
+        cu = on_qubits({control: p0}) + on_qubits({control: p1, target: u})
+        post = _teleport(inp.tensor(), ControlledGate(control, target, u))
+        assert post.shape == (4, 4, 2, 2, 2)
+        for k in range(4):
+            for l in range(4):
+                got = post[k, l].reshape(-1)
+                pauli = on_qubits({control: qcore.PAULIS[k], target: qcore.PAULIS[l]})
+                expected = cu @ pauli @ inp.amplitudes / 4
+                phase = np.vdot(expected, got)
+                assert np.abs(got - expected * phase / abs(phase)).max() < 1e-12
+                assert abs(np.vdot(got, got).real - 1 / 16) < 1e-12
 
 
 class TestEnumeration:
+    def test_contracts_instead_of_projecting(self, monkeypatch):
+        def no_projection(*args):
+            raise AssertionError("bell_project called")
+
+        cj_calls = []
+
+        def counted_cj_state(gate):
+            cj_calls.append(gate)
+            return cj_state(gate)
+
+        monkeypatch.setattr(gensim, "bell_project", no_projection)
+        monkeypatch.setattr(gensim, "cj_state", counted_cj_state)
+        outcomes = enumerate_generation(canonical_decomposition(genuine_haar(124)))
+        assert len(outcomes) == 256 and len(cj_calls) == 2
+
     def test_ghz_all_outcomes_equivalent(self, ghz):
         outcomes = enumerate_generation(canonical_decomposition(ghz))
         assert len(outcomes) == 256
