@@ -304,6 +304,12 @@ def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:
     return theta, q
 
 
+def _two_branch(branch0: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> PureState:
+    """(|0>|branch0> + |1>(u2 x u3)|branch0>) / sqrt(2): every two-branch
+    state of the package is built here."""
+    return PureState(3, np.concatenate([branch0, np.kron(u2, u3) @ branch0]) / np.sqrt(2))
+
+
 def reconstruct_state(form: CanonicalForm) -> PureState:
     """3-qubit state of the literal two-branch decomposition."""
     a = form.a
@@ -317,12 +323,8 @@ def reconstruct_state(form: CanonicalForm) -> PureState:
     ):
         if not (lo - 1e-9 <= val <= hi + 1e-9):
             raise ValueError(f"{name} = {val} outside canonical range")
-    b = form.b
-    psi_s = np.array([a, 0, 0, b], dtype=complex)
-    u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    branch1 = np.kron(u2, u3) @ psi_s
-    amps = np.concatenate([psi_s, branch1]) / np.sqrt(2)
-    return PureState(3, amps)
+    psi_s = np.array([a, 0, 0, form.b], dtype=complex)
+    return _two_branch(psi_s, *branch_unitaries(*form.params))
 
 
 def canonical_decomposition(

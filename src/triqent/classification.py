@@ -115,8 +115,8 @@ def _phase_or_none(z: complex, tol: float = _TOL_ZERO):
 def _standard_candidate(state: PureState, row0: np.ndarray):
     """Standard form reached from one qubit-1 rotation candidate.
 
-    Returns (lambdas, phi_raw, witness) with phi_raw in (-pi, pi]; the
-    caller keeps candidates whose phi lands in [0, pi].
+    Returns (lambdas, phi_raw, rotation, phases), phi_raw in (-pi, pi]; the witness
+    is ``rotation`` then ``phases``.  The caller keeps phi in [0, pi].
     """
     r0 = row0 / np.linalg.norm(row0)
     r1 = np.array([-np.conj(r0[1]), np.conj(r0[0])], dtype=complex)
@@ -159,13 +159,12 @@ def _standard_candidate(state: PureState, row0: np.ndarray):
     d1 = np.diag([np.exp(1j * th10), np.exp(1j * x)])
     d2 = np.diag([1.0, np.exp(1j * y)]).astype(complex)
     d3 = np.diag([1.0, np.exp(1j * z)]).astype(complex)
-    witness = LocalUnitary((w1, a2, a3)).then(LocalUnitary((d1, d2, d3)))
 
     lam1 = float(abs(t1[0, 0]))
     lam2 = float(abs(t1[0, 1]))
     lam3 = float(abs(t1[1, 0]))
     lam4 = float(abs(t1[1, 1]))
-    return (lam0, lam1, lam2, lam3, lam4), phi, witness
+    return (lam0, lam1, lam2, lam3, lam4), phi, (w1, a2, a3), (d1, d2, d3)
 
 
 def acin_standard_form(state: PureState) -> AcinForm:
@@ -204,13 +203,14 @@ def acin_standard_form(state: PureState) -> AcinForm:
         cand = _standard_candidate(state, row)
         if cand is None:
             continue
-        lams, phi, witness = cand
+        lams, phi, rotation, phases = cand
         if -1e-12 <= phi <= np.pi + 1e-12:
-            candidates.append((lams, min(max(phi, 0.0), np.pi), witness))
+            candidates.append((lams, min(max(phi, 0.0), np.pi), rotation, phases))
     if not candidates:
         raise AssertionError("no quadratic root produced a standard form")
     candidates.sort(key=lambda c: (-c[0][0], c[1]))
-    lams, phi, witness = candidates[0]
+    lams, phi, rotation, phases = candidates[0]
+    witness = LocalUnitary(rotation).then(LocalUnitary(phases))
     return AcinForm(lambdas=lams, phi=phi, witness=witness)
 
 

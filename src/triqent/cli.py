@@ -496,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", default="-", help="JSON file or - for stdin")
             p.add_argument("--split", type=int, choices=(1, 2, 3), default=1,
                            help="which qubit plays the distinguished role")
-            p.add_argument("--tol-clu", type=float, default=TOL_CLU)
-            p.add_argument("--table", action="store_true", help="aligned text output")
             p.add_argument("--timing", action="store_true", help="include timing_ms")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -512,6 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         add_common(p)
         p.set_defaults(fn=fn)
+        # --tol-clu only where analyze_state runs, --table only where it is rendered.
+        if fn is not cmd_gensim:
+            p.add_argument("--tol-clu", type=float, default=TOL_CLU)
+        if fn is cmd_analyze:
+            p.add_argument("--table", action="store_true", help="aligned text output")
 
     p = sub.add_parser("random", help="generate state records")
     p.add_argument("ensemble", choices=("haar", "real", "class2", "class3", "class4"))

@@ -14,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PureState, genuine_tripartite
-from .canonical import CanonicalForm, branch_unitaries
+from .qcore import BELL_BASIS, PAULI_I, PureState, genuine_tripartite
+from .canonical import CanonicalForm, _two_branch, branch_unitaries
 from .classification import acin_standard_form, invariants_equivalent, j_invariants
 from .measures import s_psi_set
-
-_BELL = (
-    np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),   # phi+ (identity)
-    np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),   # psi+ (sigma_x)
-    np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),  # psi- (sigma_y)
-    np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),  # phi- (sigma_z)
-)
 
 # Outcome probabilities below this count as vanishing.
 _PROB_FLOOR = 1e-14
@@ -75,7 +68,7 @@ def cj_state(gate: ControlledGate) -> PureState:
 
     Qubit order: control pair (a, b) then target pair (a, b).
     """
-    phi = _BELL[0]
+    phi = BELL_BASIS[0]
     rotated = np.kron(gate.u, np.eye(2)) @ phi
     amps = np.zeros(16, dtype=complex)
     amps[:4] = phi / np.sqrt(2)        # |00> on the control pair
@@ -97,7 +90,7 @@ def bell_project(state: PureState, pair, outcome: int) -> tuple[float, PureState
         raise ValueError("pair must be two distinct qubit indices")
     if not 0 <= outcome <= 3:
         raise ValueError("outcome must be in 0..3")
-    bell = _BELL[outcome].reshape(2, 2)
+    bell = BELL_BASIS[outcome].reshape(2, 2)
     post = np.tensordot(bell.conj(), state.tensor(), axes=([0, 1], [qi - 1, qj - 1]))
     amp = post.reshape(-1)
     norm = np.linalg.norm(amp)
@@ -116,18 +109,13 @@ def _teleport(psi: np.ndarray, gate: ControlledGate) -> np.ndarray:
     target roles.  Returns the unnormalised post states, (..., 4, 4, 2, 2, 2).
     """
     axes = (gate.control_qubit - 4, gate.target_qubit - 4)
-    bell = np.array(_BELL).reshape(4, 2, 2).conj()
+    bell = np.array(BELL_BASIS).reshape(4, 2, 2).conj()
     # a, x, b, y: channel qubits ca, cb, ta, tb; c, t: control, target; r: the third.
     post = np.einsum(
         "kxc,lyt,axby,...rct->...klrab",
         bell, bell, cj_state(gate).tensor(), np.moveaxis(psi, axes, (-2, -1)),
     )
     return np.moveaxis(post, (-2, -1), axes)
-
-
-def _plus_psi_s(form: CanonicalForm) -> PureState:
-    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
-    return PureState(3, np.concatenate([psi_s, psi_s]) / np.sqrt(2))
 
 
 def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
@@ -143,7 +131,8 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     probability equally among them when aggregating per member.
     """
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    base = _plus_psi_s(form).tensor()
+    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
+    base = _two_branch(psi_s, PAULI_I, PAULI_I).tensor()
     finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3))
 
     members = s_psi_set(form).members

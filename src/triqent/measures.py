@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PAULIS, PureState, entropy, partial_trace
+from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, entropy, partial_trace
 from .bipartite import (
     binary_entropy,
     binary_entropy_inverse_upper,
@@ -22,6 +22,7 @@ from .bipartite import (
 from .canonical import (
     CanonicalForm,
     TOL_MAXENT,
+    _two_branch,
     branch_unitaries,
     canonicalize_params,
     form_from_params,
@@ -31,7 +32,6 @@ from .canonical import (
 TOL_E6 = 1e-9
 _TOL_XCHECK = 1e-10
 _PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 class InconsistentMeasures(ValueError):
@@ -100,8 +100,8 @@ def e1(form: CanonicalForm) -> float:
 
 
 def _cj_mixture(u: np.ndarray) -> np.ndarray:
-    rotated = np.kron(u, np.eye(2)) @ _PHI_PLUS
-    return 0.5 * (np.outer(_PHI_PLUS, _PHI_PLUS.conj()) + np.outer(rotated, rotated.conj()))
+    rotated = np.kron(u, np.eye(2)) @ BELL_BASIS[0]
+    return 0.5 * (np.outer(BELL_BASIS[0], BELL_BASIS[0].conj()) + np.outer(rotated, rotated.conj()))
 
 
 def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
@@ -125,19 +125,8 @@ def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def _gain_forward_state(form: CanonicalForm) -> PureState:
-    """Controlled gate (qubit 1 controls U2 on qubit 2) applied to |+>|psi_s>."""
-    a, b = form.a, form.b
-    u2, _ = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    psi_s = np.array([a, 0, 0, b], dtype=complex)
-    branch1 = np.kron(u2, np.eye(2)) @ psi_s
-    return PureState(3, np.concatenate([psi_s, branch1]) / np.sqrt(2))
-
-
-def _gain_backward_state(form: CanonicalForm) -> PureState:
+def _gain_backward_state(a: float, b: float, u2: np.ndarray) -> PureState:
     """Reversed control (qubit 2 controls U2 on qubit 1) applied to |+>|psi_s>."""
-    a, b = form.a, form.b
-    u2, _ = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
     plus2 = u2 @ _PLUS
     amps = np.zeros(8, dtype=complex)
     # a |+>_1 |00>_23 + b (U2|+>)_1 |11>_23
@@ -156,6 +145,8 @@ def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
     """
     a, b = form.a, form.b
     al, be, ga = form.alpha, form.beta, form.gamma
+    u2, _ = branch_unitaries(al, be, ga, form.beta_prime)
+    psi_s = np.array([a, 0, 0, b], dtype=complex)
     out = []
     ov4_sq = np.cos(be) ** 2 * (
         (a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2
@@ -164,8 +155,8 @@ def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
         np.cos(al + ga) ** 2 * np.cos(be) ** 2 + np.sin(al - ga) ** 2 * np.sin(be) ** 2
     )
     for state, purity_expected in (
-        (_gain_forward_state(form), 0.5 * (1 + ov4_sq)),
-        (_gain_backward_state(form), pur5),
+        (_two_branch(psi_s, u2, PAULI_I), 0.5 * (1 + ov4_sq)),
+        (_gain_backward_state(a, b, u2), pur5),
     ):
         rho1 = partial_trace(state, {1})
         if abs(rho1.purity() - purity_expected) > _TOL_XCHECK:
@@ -176,36 +167,26 @@ def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _controlled(u: np.ndarray, target: int) -> np.ndarray:
-    """8x8 gate, qubit 1 controlling ``u`` on qubit ``target`` (2 or 3)."""
-    if target == 2:
-        inner = np.kron(u, np.eye(2))
-    else:
-        inner = np.kron(np.eye(2), u)
-    out = np.zeros((8, 8), dtype=complex)
-    out[:4, :4] = np.eye(4)
-    out[4:, 4:] = inner
-    return out
-
-
 def s_psi_set(form: CanonicalForm) -> SPsiSet:
-    """The four generation-process states U_c13 U_c12 (sigma_n on qubit 2)|+>|psi_s>."""
-    a, b = form.a, form.b
+    """The four generation-process states U_c13 U_c12 (sigma_n on qubit 2)|+>|psi_s>.
+
+    Member n is the two-branch state of the branch (sigma_n x 1)|psi_s>; member 0
+    is ``reconstruct_state(form)``, whose range check raises ValueError.
+    """
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    gate = _controlled(u3, 3) @ _controlled(u2, 2)
-    psi_s = np.array([a, 0, 0, b], dtype=complex)
-    base = np.concatenate([psi_s, psi_s]) / np.sqrt(2)
-    members = []
-    for n in range(4):
-        sigma = np.kron(np.eye(2), np.kron(PAULIS[n], np.eye(2)))
-        members.append(PureState(3, gate @ sigma @ base))
+    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
+    members = [reconstruct_state(form)]
+    members += [_two_branch(np.kron(sigma, PAULI_I) @ psi_s, u2, u3) for sigma in PAULIS[1:]]
     return SPsiSet(tuple(members))
 
 
-def splitting_entanglement(form: CanonicalForm) -> float:
-    """E_{1|23} of the state itself, with trig cross-check."""
-    state = reconstruct_state(form)
-    val = entropy(partial_trace(state, {1}))
+def _family_entropies(form: CanonicalForm) -> list[float]:
+    """E_{1|23} of each ``s_psi_set`` member, in member order."""
+    return [entropy(partial_trace(m, {1})) for m in s_psi_set(form).members]
+
+
+def _checked_splitting(form: CanonicalForm, val: float) -> float:
+    """``val`` as E_{1|23} of ``form``'s state, after the trig cross-check."""
     ov_sq = splitting_overlap_sq(
         form.a, form.alpha, form.beta, form.gamma, form.beta_prime
     )
@@ -213,6 +194,11 @@ def splitting_entanglement(form: CanonicalForm) -> float:
     if abs(val - trig) > _TOL_XCHECK:
         raise AssertionError(f"splitting cross-check failed: {val} vs {trig}")
     return val
+
+
+def splitting_entanglement(form: CanonicalForm) -> float:
+    """E_{1|23} of the state itself, with trig cross-check."""
+    return _checked_splitting(form, entropy(partial_trace(reconstruct_state(form), {1})))
 
 
 def splitting_overlap_sq(a, alpha, beta, gamma, beta_prime) -> float:
@@ -233,31 +219,42 @@ def splitting_overlap_sq(a, alpha, beta, gamma, beta_prime) -> float:
     return float(first + second + last)
 
 
-def e6(form: CanonicalForm, tol: float = TOL_E6) -> int:
-    """0 when the state's E_{1|23} is minimal inside its generation set, else 1.
-
-    When the whole set is degenerate (the state and its partner are
-    LU-equivalent) the convention is 0.
-    """
-    values = [entropy(partial_trace(m, {1})) for m in s_psi_set(form).members]
+def _e6_from(values, tol: float) -> int:
+    """E6 from the family entropies ``values`` (member 0 first)."""
     lo, hi = min(values), max(values)
     if hi - lo <= tol:
         return 0
     return 0 if values[0] <= lo + tol else 1
 
 
+def e6(form: CanonicalForm, tol: float = TOL_E6) -> int:
+    """0 when the state's E_{1|23} is minimal inside its generation set, else 1.
+
+    When the whole set is degenerate (the state and its partner are
+    LU-equivalent) the convention is 0.
+    """
+    return _e6_from(_family_entropies(form), tol)
+
+
 def measure_set(form: CanonicalForm) -> MeasureSet:
-    """All measures of one canonical form."""
+    """All measures of one canonical form.
+
+    The four generation-family states are built and their 1|23 entropies
+    taken once: E6 compares all four, and E_{1|23} is member 0's entropy,
+    cross-checked against ``splitting_overlap_sq``.  An out-of-range form
+    raises ValueError.
+    """
     v2, v3 = e2_e3_imp(form)
     v4, v5 = e4_e5_gain(form)
+    family = _family_entropies(form)
     return MeasureSet(
         e1=e1(form),
         e2=v2,
         e3=v3,
         e4=v4,
         e5=v5,
-        e6=e6(form),
-        e_1_23=splitting_entanglement(form),
+        e6=_e6_from(family, TOL_E6),
+        e_1_23=_checked_splitting(form, family[0]),
     )
 
 

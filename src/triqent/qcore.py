@@ -24,6 +24,13 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+# Bell states (1 x sigma_n)|phi+> up to phase, in the PAULIS order: phi+, psi+, psi-, phi-.
+BELL_BASIS = (
+    np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
+    np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
+    np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
+    np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
+)
 
 
 class BiseparableInput(ValueError):

@@ -64,6 +64,22 @@ class TestAcinStandardForm:
         with pytest.raises(BiseparableInput):
             acin_standard_form(basis_state(3, 0))
 
+    def test_builds_the_witness_once(self, monkeypatch):
+        # Both quadratic roots give a candidate; only the chosen one gets a
+        # witness: its rotation, its phases and their composite.
+        built = []
+        post_init = LocalUnitary.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(LocalUnitary, "__post_init__", counted)
+        state = genuine_haar(5)
+        form = acin_standard_form(state)
+        assert len(built) == 3
+        assert np.linalg.norm(apply_local(state, form.witness).amplitudes - form.amplitudes()) < 1e-9
+
 
 class TestInvariants:
     def test_ghz(self, ghz):

@@ -198,6 +198,27 @@ class TestSubcommands:
         assert rep["probability_deviation"] < 1e-12
         assert rep["member_aggregates"] == pytest.approx([0.25] * 4, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--table"],
+            ["measures", "--table"],
+            ["classify", "--table"],
+            ["standard-form", "--table"],
+            ["gensim", "--table"],
+            ["gensim", "--tol-clu", "0.5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejects_options_the_command_ignores(self, argv, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([ghz_record()]))
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
     def test_gensim_reports_a_malformed_record_and_goes_on(self, tmp_path, capsys):
         bad = {"id": "short", "amplitudes": [[1, 0]] * 7}
         path = tmp_path / "in.json"

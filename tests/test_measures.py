@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqent import qcore
+from triqent import measures, qcore
 from triqent.bipartite import binary_entropy, eof
 from triqent.canonical import (
     branch_unitaries,
@@ -25,6 +25,7 @@ from triqent.measures import (
     splitting_entanglement,
     splitting_overlap_sq,
 )
+from triqent.gensim import ControlledGate
 from triqent.qcore import apply_local
 
 from conftest import genuine_haar
@@ -116,6 +117,58 @@ class TestSPsiSet:
         sp = s_psi_set(GENERIC_FORM)
         equal, conj = lu_equivalent(sp.psi, sp.psi_prime)
         assert not equal and not conj
+
+
+class TestFamilyDefinition:
+    @staticmethod
+    def _reference(form, n):
+        """CU13 CU12 (sigma_n on qubit 2)|+>|psi_s> from the 4x4 gate matrices."""
+        u2, u3 = branch_unitaries(*form.params)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        p23 = np.kron(np.eye(2), swap)
+        cu12 = np.kron(ControlledGate(1, 2, u2).matrix(), np.eye(2))
+        cu13 = p23 @ np.kron(ControlledGate(1, 3, u3).matrix(), np.eye(2)) @ p23
+        sigma = np.kron(np.eye(2), np.kron(qcore.PAULIS[n], np.eye(2)))
+        plus = np.array([1, 1]) / np.sqrt(2)
+        psi_s = np.array([form.a, 0, 0, form.b])
+        return cu13 @ cu12 @ sigma @ np.kron(plus, psi_s)
+
+    @pytest.mark.parametrize("kind", ["haar", "ghz", "params"])
+    def test_members_match_definition(self, kind, ghz):
+        if kind == "params":
+            forms = [GENERIC_FORM, form_from_params(0.9, -0.4, np.pi / 2, 0.1, 0.0)]
+        elif kind == "ghz":
+            forms = [canonical_decomposition(ghz)]
+        else:
+            forms = [canonical_decomposition(genuine_haar(seed)) for seed in range(5)]
+        for form in forms:
+            members = s_psi_set(form).members
+            assert np.array_equal(members[0].amplitudes, reconstruct_state(form).amplitudes)
+            for n, member in enumerate(members):
+                assert np.abs(member.amplitudes - self._reference(form, n)).max() < 1e-12
+
+    def test_out_of_range_form_raises(self):
+        with pytest.raises(ValueError, match="beta"):
+            s_psi_set(form_from_params(0.8, 0.3, -0.7, 0.2, 0.5))
+
+    def test_measure_set_takes_each_reduction_once(self, monkeypatch):
+        # E4, E5 and the four family members: E_1|23 is member 0's entropy.
+        calls = []
+
+        def counted(state, keep):
+            calls.append(keep)
+            return qcore.partial_trace(state, keep)
+
+        monkeypatch.setattr(measures, "partial_trace", counted)
+        ms = measure_set(GENERIC_FORM)
+        assert len(calls) == 6
+        assert ms.e_1_23 == splitting_entanglement(GENERIC_FORM)
+        assert ms.e6 == e6(GENERIC_FORM)
+
+    def test_splitting_cross_check_still_raises(self, monkeypatch):
+        monkeypatch.setattr(measures, "splitting_overlap_sq", lambda *args: 0.5)
+        with pytest.raises(AssertionError, match="splitting cross-check"):
+            measure_set(GENERIC_FORM)
 
 
 class TestE6:
