@@ -60,6 +60,7 @@ from .classification import (
     is_clu,
     j_invariants,
     lu_equivalent,
+    standard_forms,
 )
 from .gensim import (
     ClosureViolation,

@@ -8,15 +8,18 @@ attains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .qcore import (
+    BiseparableInput,
     LocalUnitary,
     PureState,
-    require_tripartite,
+    genuine_rows,
+    marginal_spectra,
+    scalar_pow,
 )
 from .bipartite import (
     concurrence_pair,
@@ -33,6 +36,9 @@ TOL_J6 = 1e-9
 TOL_INV = 1e-8
 _TOL_ROOT = 1e-12
 _TOL_ZERO = 1e-10
+# A root's phi (taken in (-pi, pi]) within this of [0, pi] is moved into it.
+_TOL_PHI = 1e-9
+_TOL_PURITY_TANGLE = 1e-10
 # The four CLU criteria scale with different powers of the distance to the
 # CLU manifold; each carries its own calibrated threshold.  Exact CLU inputs
 # sit below 1e-13 on every test; random NCLU samples were never observed
@@ -85,7 +91,10 @@ class AcinForm:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """Polynomial local-unitary invariants of the standard form."""
+    """Polynomial local-unitary invariants of the standard form.
+
+    The fields are scalars for one state, or arrays of one shape for a batch.
+    """
 
     j1: float
     j2: float
@@ -97,8 +106,33 @@ class InvariantSet:
     sigma_minus: float
 
     @property
-    def reals(self) -> tuple:
-        return (self.j1, self.j2, self.j3, self.j4, self.j5)
+    def reals(self) -> np.ndarray:
+        """J1..J5 stacked on a last axis."""
+        return np.stack((self.j1, self.j2, self.j3, self.j4, self.j5), axis=-1)
+
+    def __getitem__(self, index) -> "InvariantSet":
+        """The invariant sets at ``index`` of a batch."""
+        return InvariantSet(*(np.asarray(getattr(self, f.name))[index] for f in fields(self)))
+
+    def item(self, *index) -> "InvariantSet":
+        """One invariant set of a batch (no index for a single one), as Python scalars."""
+        return InvariantSet(*(value.item(*index) for value in vars(self).values()))
+
+
+@dataclass(frozen=True)
+class StandardForms:
+    """Standard forms of a batch of states, row by row (see ``AcinForm``).
+
+    ``rotation`` holds the chosen root's qubit-1 rotation and the two
+    singular-vector rotations, ``phases`` the three phase diagonals, each
+    (N, 3, 2, 2); the witness applies the rotations, then the phases.
+    """
+
+    lambdas: np.ndarray
+    phi: np.ndarray
+    rotation: np.ndarray
+    phases: np.ndarray
+    invariants: InvariantSet
 
 
 @dataclass(frozen=True)
@@ -108,138 +142,192 @@ class ClassLabel:
     evidence: dict
 
 
-def _phase_or_none(z: complex, tol: float = _TOL_ZERO):
-    return None if abs(z) <= tol else float(np.angle(z))
+def _cmul(a, b) -> np.ndarray:
+    """Complex product with each real product rounded on its own, as scalar
+    arithmetic does it (NumPy's array multiply may fuse them)."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
-def _standard_candidate(state: PureState, row0: np.ndarray):
-    """Standard form reached from one qubit-1 rotation candidate.
+def _modulus(z) -> np.ndarray:
+    """|z|, rounded as scalar complex abs rounds it."""
+    return np.hypot(z.real, z.imag)
 
-    Returns (lambdas, phi_raw, rotation, phases), phi_raw in (-pi, pi]; the witness
-    is ``rotation`` then ``phases``.  The caller keeps phi in [0, pi].
+
+# Column k marks the J's among J1..J4 that involve qubit k + 1.
+_QUBIT_JS = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
+
+# Candidate qubit-1 rows per root case; the finite roots are filled in.
+_CASE_ROWS = np.array(
+    [
+        [[1, 0], [1, 0]],  # two roots
+        [[1, 0], [0, 1]],  # one finite root and the root at infinity
+        [[0, 1], [0, 1]],  # double root at infinity: the second row is absent
+        [[1, 0], [0, 1]],  # fully degenerate: every combination is singular
+    ],
+    dtype=complex,
+)
+
+
+def _candidate_rows(det0, det1, mixed, hyperdet):
+    """The two candidate qubit-1 rows of each state, and whether the second exists.
+
+    The rotation annihilating det(T0) solves det1 r^2 + mixed r + det0 = 0;
+    the first of det1, mixed and det0 above ``_TOL_ROOT`` sets the case.
     """
-    r0 = row0 / np.linalg.norm(row0)
-    r1 = np.array([-np.conj(r0[1]), np.conj(r0[0])], dtype=complex)
-    w1 = np.vstack([r0, r1])
-    t = np.tensordot(w1, state.tensor(), axes=([1], [0]))
-    u, sv, vh = np.linalg.svd(t[0])
-    if sv[1] > 1e-9:
-        return None
-    a2, a3 = u.conj().T, vh.conj()
-    t0 = a2 @ t[0] @ a3.T
-    t1 = a2 @ t[1] @ a3.T
-    lam0 = float(sv[0])
+    big = _modulus(np.array([det1, mixed, det0])) > _TOL_ROOT
+    case = np.where(big[0], 0, np.where(big[1], 1, np.where(big[2], 2, 3)))
+    rows = _CASE_ROWS[case]
+    quad, lin = case == 0, case == 1
+    neg_mixed, disc = -mixed[quad], np.sqrt(hyperdet[quad] + 0j)
+    rows[quad, :, 1] = np.array([neg_mixed + disc, neg_mixed - disc]).T / (2 * det1[quad, None])
+    rows[lin, 0, 1] = -det0[lin] / mixed[lin]
+    return rows, case != 2
 
-    q1 = _phase_or_none(t1[0, 0])
-    q2 = _phase_or_none(t1[0, 1])
-    q3 = _phase_or_none(t1[1, 0])
-    q4 = _phase_or_none(t1[1, 1])
-    if q2 is not None and q3 is not None and q4 is not None:
-        x = q4 - q2 - q3
-        phi = 0.0 if q1 is None else float(np.angle(np.exp(1j * (q1 + x))))
-        if phi <= -np.pi + 1e-9:
-            phi += 2 * np.pi
-    else:
-        # Some amplitude vanishes; enough phase freedom remains to put phi = 0.
-        x = -q1 if q1 is not None else 0.0
-        phi = 0.0
-    if q2 is not None and q3 is not None:
-        y, z = -q3 - x, -q2 - x
-    elif q2 is not None:
-        z = -q2 - x
-        y = (-q4 - x - z) if q4 is not None else 0.0
-    elif q3 is not None:
-        y = -q3 - x
-        z = (-q4 - x - y) if q4 is not None else 0.0
-    else:
-        y = 0.0
-        z = (-q4 - x) if q4 is not None else 0.0
 
-    th10 = -float(np.angle(t0[0, 0])) if abs(t0[0, 0]) > _TOL_ZERO else 0.0
-    d1 = np.diag([np.exp(1j * th10), np.exp(1j * x)])
-    d2 = np.diag([1.0, np.exp(1j * y)]).astype(complex)
-    d3 = np.diag([1.0, np.exp(1j * z)]).astype(complex)
+def _phase_diagonals(present, angle):
+    """Phase diagonals and raw phi of each candidate.
 
-    lam1 = float(abs(t1[0, 0]))
-    lam2 = float(abs(t1[0, 1]))
-    lam3 = float(abs(t1[1, 0]))
-    lam4 = float(abs(t1[1, 1]))
-    return (lam0, lam1, lam2, lam3, lam4), phi, (w1, a2, a3), (d1, d2, d3)
+    ``present`` and ``angle`` hold, on the last axis, whether T0'00, T1'00,
+    T1'01, T1'10 and T1'11 exceed ``_TOL_ZERO`` and their phases.  Only phi
+    stays once the phase freedom is spent; a missing amplitude has no phase,
+    and with any of lambda2..lambda4 missing phi is put to 0.
+    """
+    p0, p1, p2, p3, p4 = (present[..., k] for k in range(5))
+    q1, q2, q3, q4 = (angle[..., k] for k in range(1, 5))
+    full = p2 & p3 & p4
+    x = np.where(full, q4 - q2 - q3, np.where(p1, -q1, 0.0))
+    phi = np.where(full & p1, np.angle(np.exp(1j * (q1 + x))), 0.0)
+    rest = -angle - x[..., None]  # -q_k - x for every k
+    y0 = np.where(p3, rest[..., 3], 0.0)
+    z0 = np.where(p2, rest[..., 2], 0.0)
+    y = np.where(p2 & ~p3 & p4, rest[..., 4] - z0, y0)
+    z = np.where(~p2 & p4, rest[..., 4] - y0, z0)
+    diag = np.exp(1j * np.array([np.where(p0, -angle[..., 0], 0.0), x, y, z]))
+    phases = np.zeros(phi.shape + (3, 2, 2), dtype=complex)
+    phases[..., :, 0, 0] = 1
+    phases[..., 0, 0, 0] = diag[0]
+    for k in range(3):
+        phases[..., k, 1, 1] = diag[k + 1]
+    return phases, phi
+
+
+def standard_forms(tensors) -> StandardForms:
+    """Standard forms and J invariants of normalised (N, 2, 2, 2) amplitude tensors.
+
+    Each state's qubit-1 rotation annihilating det(T0) is a root of a
+    quadratic; both candidate rows of every state are worked through at
+    once.  Among the admissible roots (phi in [0, pi] up to ``_TOL_PHI``)
+    the one with larger lambda0 is chosen, ties broken by smaller phi, then
+    by the first root.  J1..J4 are cross-checked against the single-qubit
+    purities and the 3-tangle of the input.  Raises ``BiseparableInput``
+    naming the first biseparable row.
+    """
+    t = np.asarray(tensors, dtype=complex).reshape(-1, 2, 2, 2)
+    n = len(t)
+    spectra = marginal_spectra(t)
+    genuine = genuine_rows(spectra)
+    if not genuine.all():
+        row = np.flatnonzero(~genuine)[0]
+        raise BiseparableInput(f"row {row}: state is biseparable across at least one cut")
+    det0, det1 = np.linalg.det(t).T
+    # T0[0,0] T1[1,1], T1[0,0] T0[1,1], T0[0,1] T1[1,0], T1[0,1] T0[1,0] and 4 det1 det0.
+    flat = t.reshape(n, 8)
+    prods = _cmul(
+        np.concatenate([flat[:, [0, 4, 1, 5]], 4 * det1[:, None]], axis=1),
+        np.concatenate([flat[:, [7, 3, 6, 2]], det0[:, None]], axis=1),
+    )
+    mixed = prods[:, 0] + prods[:, 1] - prods[:, 2] - prods[:, 3]
+    # Cayley's hyperdeterminant: the discriminant of det(T0 + r T1).
+    hyperdet = _cmul(mixed, mixed) - prods[:, 4]
+    rows, second_exists = _candidate_rows(det0, det1, mixed, hyperdet)
+
+    # Candidate axes from here on: (state, root, ...).
+    norm = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    r0 = rows / norm[..., None]
+    w1 = np.empty((n, 2, 2, 2), dtype=complex)
+    w1[..., 0, :] = r0
+    w1[..., 1, 0] = -r0[..., 1].conj()
+    w1[..., 1, 1] = r0[..., 0].conj()
+    rotated = (w1 @ t.reshape(n, 1, 2, 4)).reshape(n, 2, 2, 2, 2)
+    u, sv, vh = np.linalg.svd(rotated[:, :, 0])
+    a2, a3 = u.conj().swapaxes(-1, -2), vh.conj()
+    blocks = (a2[:, :, None] @ rotated @ a3.swapaxes(-1, -2)[:, :, None]).reshape(n, 2, 8)
+    entries = blocks[..., [0, 4, 5, 6, 7]]  # T0'[0,0], then T1' row by row
+    mags = _modulus(entries)
+    phases, phi = _phase_diagonals(mags > _TOL_ZERO, np.arctan2(entries.imag, entries.real))
+    phi = np.where(phi < -_TOL_PHI, phi + 2 * np.pi, phi)
+    admissible = (sv[..., 1] <= 1e-9) & (phi <= np.pi + _TOL_PHI)
+    admissible[:, 1] &= second_exists
+    phi = np.minimum(np.maximum(phi, 0.0), np.pi)
+    lambdas = np.concatenate([sv[..., :1], mags[..., 1:]], axis=-1)
+
+    found = admissible.any(axis=1)
+    if not found.all():
+        row = np.flatnonzero(~found)[0]
+        raise AssertionError(f"row {row}: no quadratic root produced a standard form")
+    l0 = lambdas[..., 0]
+    second = admissible[:, 1] & (
+        ~admissible[:, 0]
+        | (l0[:, 1] > l0[:, 0])
+        | ((l0[:, 1] == l0[:, 0]) & (phi[:, 1] < phi[:, 0]))
+    )
+    pick = (np.arange(n), second.astype(int))
+    lambdas, phi = lambdas[pick], phi[pick]
+    inv = _invariants(lambdas, phi)
+    _check_purities_and_tangle(spectra, hyperdet, inv)
+    rotation = np.stack([w1, a2, a3], axis=2)[pick]
+    return StandardForms(lambdas, phi, rotation, phases[pick], inv)
+
+
+def _check_purities_and_tangle(spectra, hyperdet, inv: InvariantSet) -> None:
+    """J4 = tau/4 and Tr rho_k^2 = 1 - 2 (the three J's involving qubit k).
+
+    Neither side depends on the root choice: the purities come from the
+    marginal spectra, the 3-tangle tau = 4|hyperdet| from the amplitudes.
+    """
+    purity = (spectra**2).sum(axis=-1)
+    expected = 1 - 2 * (np.array([inv.j1, inv.j2, inv.j3, inv.j4]).T @ _QUBIT_JS)
+    resid = np.maximum(np.abs(purity - expected).max(axis=-1), np.abs(inv.j4 - _modulus(hyperdet)))
+    worst = int(np.argmax(resid))
+    if not resid[worst] <= _TOL_PURITY_TANGLE:
+        raise AssertionError(f"row {worst}: purity/tangle cross-check failed, residual {resid[worst]:.3e}")
 
 
 def acin_standard_form(state: PureState) -> AcinForm:
-    """Standard form of a genuinely tripartite state.
+    """Standard form of a genuinely tripartite state: ``standard_forms`` on one row."""
+    return _acin_form(standard_forms(state.tensor()))
 
-    The qubit-1 rotation annihilating det(T0) is a root of a quadratic;
-    among the admissible roots the one with larger lambda0 is chosen, ties
-    broken by smaller phi.
-    """
-    require_tripartite(state)
-    t = state.tensor()
-    t0, t1 = t[0], t[1]
-    det0 = np.linalg.det(t0)
-    det1 = np.linalg.det(t1)
-    mixed = t0[0, 0] * t1[1, 1] + t1[0, 0] * t0[1, 1] - t0[0, 1] * t1[1, 0] - t1[0, 1] * t0[1, 0]
 
-    rows = []
-    if abs(det1) > _TOL_ROOT:
-        disc = np.sqrt(mixed**2 - 4 * det1 * det0 + 0j)
-        for r in ((-mixed + disc) / (2 * det1), (-mixed - disc) / (2 * det1)):
-            rows.append(np.array([1.0, r], dtype=complex))
-    elif abs(mixed) > _TOL_ROOT:
-        # Linear case: one finite root plus the root at infinity.
-        rows.append(np.array([1.0, -det0 / mixed], dtype=complex))
-        rows.append(np.array([0.0, 1.0], dtype=complex))
-    elif abs(det0) > _TOL_ROOT:
-        # Double root at infinity.
-        rows.append(np.array([0.0, 1.0], dtype=complex))
-    else:
-        # Fully degenerate: every combination is singular.
-        rows.append(np.array([1.0, 0.0], dtype=complex))
-        rows.append(np.array([0.0, 1.0], dtype=complex))
+def _acin_form(forms: StandardForms) -> AcinForm:
+    """The ``AcinForm`` of a batch of one, with the witness of its chosen root."""
+    witness = LocalUnitary(tuple(forms.rotation[0])).then(LocalUnitary(tuple(forms.phases[0])))
+    return AcinForm(lambdas=tuple(forms.lambdas[0].tolist()), phi=forms.phi.item(0), witness=witness)
 
-    candidates = []
-    for row in rows:
-        cand = _standard_candidate(state, row)
-        if cand is None:
-            continue
-        lams, phi, rotation, phases = cand
-        if -1e-12 <= phi <= np.pi + 1e-12:
-            candidates.append((lams, min(max(phi, 0.0), np.pi), rotation, phases))
-    if not candidates:
-        raise AssertionError("no quadratic root produced a standard form")
-    candidates.sort(key=lambda c: (-c[0][0], c[1]))
-    lams, phi, rotation, phases = candidates[0]
-    witness = LocalUnitary(rotation).then(LocalUnitary(phases))
-    return AcinForm(lambdas=lams, phi=phi, witness=witness)
+
+def _invariants(lambdas, phi) -> InvariantSet:
+    """J1..J6 and the Schmidt weights from lambdas (..., 5) and phi (...)."""
+    l0, l1, l2, l3, l4 = (lambdas[..., k] for k in range(5))
+    squares = scalar_pow(lambdas, 2)
+    s0, s1, s2, s3, s4 = (squares[..., k] for k in range(5))
+    rot = np.exp(1j * phi)
+    cross = l1 * l4 * rot - l2 * l3
+    j1 = scalar_pow(_modulus(cross), 2)
+    j2 = s0 * s2
+    j3 = s0 * s3
+    j4 = s0 * s4
+    j5 = s0 * (j1 + s2 * s3 - s1 * s4)
+    z = l4 * (1 - 2 * s0 - 2 * s1) + 2 * l1 * l2 * l3 * rot.conj()
+    j6 = scalar_pow(l0, 4) * s4 * _cmul(z, z)
+    disc = np.sqrt(np.maximum(1 - 4 * (j2 + j3 + j4), 0.0))
+    return InvariantSet(j1, j2, j3, j4, j5, j6, (1 + disc) / 2, (1 - disc) / 2)
 
 
 def j_invariants(form: AcinForm) -> InvariantSet:
     """Polynomial invariants of the standard form, plus the Schmidt weights."""
-    l0, l1, l2, l3, l4 = form.lambdas
-    phi = form.phi
-    cross = l1 * l4 * np.exp(1j * phi) - l2 * l3
-    j1 = float(abs(cross) ** 2)
-    j2 = float(l0**2 * l2**2)
-    j3 = float(l0**2 * l3**2)
-    j4 = float(l0**2 * l4**2)
-    j5 = float(l0**2 * (j1 + l2**2 * l3**2 - l1**2 * l4**2))
-    j6 = complex(
-        l0**4
-        * l4**2
-        * (l4 * (1 - 2 * l0**2 - 2 * l1**2) + 2 * l1 * l2 * l3 * np.exp(-1j * phi)) ** 2
-    )
-    disc = np.sqrt(max(1 - 4 * (j2 + j3 + j4), 0.0))
-    return InvariantSet(
-        j1=j1,
-        j2=j2,
-        j3=j3,
-        j4=j4,
-        j5=j5,
-        j6=j6,
-        sigma_plus=float((1 + disc) / 2),
-        sigma_minus=float((1 - disc) / 2),
-    )
+    return _invariants(np.array(form.lambdas), np.array(form.phi)).item()
 
 
 def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
@@ -251,8 +339,8 @@ def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
     e1 = eof(form.concurrence_s())
     gap_min = abs(e1 - eof(c23))
     gap_max = abs(e1 - eof(ca23))
-    acin = acin_standard_form(state)
-    inv = j_invariants(acin)
+    forms = standard_forms(state.tensor())
+    acin, inv = _acin_form(forms), forms.invariants.item(0)
 
     extremal = min(gap_min, gap_max) <= tol_clu
     ct_sq = tm.ctilde**2
@@ -431,17 +519,22 @@ def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
 
 def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:
     """(equal, conjugate_pair) decided through the complete invariant set."""
-    return invariants_equivalent(*(j_invariants(acin_standard_form(s)) for s in (s1, s2)))
+    equal, conj_pair = invariants_equivalent(*(j_invariants(acin_standard_form(s)) for s in (s1, s2)))
+    return bool(equal), bool(conj_pair)
 
 
-def invariants_equivalent(inv1: InvariantSet, inv2: InvariantSet) -> tuple[bool, bool]:
-    """(equal, conjugate_pair): the invariant sets match, or match up to conjugation."""
-    reals_match = all(abs(x - y) <= TOL_INV for x, y in zip(inv1.reals, inv2.reals))
-    equal = reals_match and abs(inv1.j6 - inv2.j6) <= TOL_INV
+def invariants_equivalent(inv1: InvariantSet, inv2: InvariantSet) -> tuple:
+    """(equal, conjugate_pair): the invariant sets match, or match up to conjugation.
+
+    Broadcasts over batches: two batches give boolean arrays of their
+    broadcast shape.
+    """
+    reals_match = (np.abs(inv1.reals - inv2.reals) <= TOL_INV).all(axis=-1)
+    equal = reals_match & (np.abs(inv1.j6 - inv2.j6) <= TOL_INV)
     conj_pair = (
         reals_match
-        and not equal
-        and abs(inv1.j6 - np.conj(inv2.j6)) <= TOL_INV
-        and abs(inv1.j6.imag) > TOL_INV
+        & ~equal
+        & (np.abs(inv1.j6 - np.conj(inv2.j6)) <= TOL_INV)
+        & (np.abs(np.imag(inv1.j6)) > TOL_INV)
     )
     return equal, conj_pair

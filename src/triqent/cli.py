@@ -455,7 +455,7 @@ def _suite_roundtrip(count, seed):
         ov = abs(np.vdot(rot.amplitudes, rec.amplitudes))
         worst_wit = max(worst_wit, 1 - ov)
         eq, _ = invariants_equivalent(j_invariants(acin_standard_form(rec)), ev["invariants"])
-        equivalent = equivalent and eq
+        equivalent = equivalent and bool(eq)
     passed = worst_branch < 1e-9 and worst_wit < 1e-9 and equivalent
     return {
         "max_branch_mismatch": worst_branch,

@@ -6,6 +6,8 @@ teleportation).  One contraction with the Bell basis gives the post states
 of all 16 outcome pairs of a gate at once, so two contractions give all 256
 outcomes of the protocol; they reproduce the closed four-state family of
 the two-branch decomposition, every outcome occurring with probability 1/256.
+Membership is decided on J invariants: one batched standard-form call on the
+four members and the 256 outcomes, then one (256, 4) comparison.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BELL_BASIS, PAULI_I, PureState, genuine_tripartite
+from .qcore import BELL_BASIS, PAULI_I, BiseparableInput, PureState, scalar_pow
 from .canonical import CanonicalForm, _two_branch, branch_unitaries
-from .classification import acin_standard_form, invariants_equivalent, j_invariants
+from .classification import invariants_equivalent, standard_forms
 from .measures import s_psi_set
 
 # Outcome probabilities below this count as vanishing.
@@ -125,40 +127,43 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     (|0> + |1>)|psi_s>/sqrt(2) one after the other, each for all 16 of its
     outcome pairs at once; outcome ((k, l), (m, n)) is listed in that
     lexicographic order.  Every outcome has probability 1/256 and is
-    LU-equivalent to a member of the four-state family of ``form``, which
-    is checked on J invariants, never inferred from the Pauli corrections;
-    outcomes matching several mutually LU-equivalent members share their
+    LU-equivalent to a member of the four-state family of ``form``.  This is
+    checked on J invariants, never inferred from the Pauli corrections: one
+    ``standard_forms`` call covers the four members and the 256 normalised
+    outcomes, and each outcome is compared with every member at once.
+    Outcomes matching several mutually LU-equivalent members share their
     probability equally among them when aggregating per member.
     """
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
     psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
     base = _two_branch(psi_s, PAULI_I, PAULI_I).tensor()
     finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3))
+    finals = finals.reshape(256, 8)
+    norm = np.sqrt(np.vecdot(finals.real, finals.real) + np.vecdot(finals.imag, finals.imag))
+    probs = scalar_pow(norm, 2)
+    if (probs < _PROB_FLOOR).any():
+        raise ClosureViolation("vanishing probability inside the protocol")
+    finals = finals / norm[:, None]
 
-    members = s_psi_set(form).members
-    member_invs = []
-    for m in members:
-        if not genuine_tripartite(m):
-            raise ClosureViolation("family member is not genuinely tripartite")
-        member_invs.append(j_invariants(acin_standard_form(m)))
+    members = np.array([m.amplitudes for m in s_psi_set(form).members])
+    try:
+        inv = standard_forms(np.concatenate([members, finals])).invariants
+    except BiseparableInput as exc:
+        raise ClosureViolation(f"family member (rows 0-3) or outcome not genuine: {exc}") from exc
+    equal, _ = invariants_equivalent(inv[4:, None], inv[None, :4])
+    unmatched = np.flatnonzero(~equal.any(axis=1))
+    if unmatched.size:
+        outcome = tuple(int(i) for i in np.unravel_index(unmatched[0], (4, 4, 4, 4)))
+        raise ClosureViolation(f"outcome {outcome} not in the generation family")
 
     outcomes = []
-    for k, l, m, n in np.ndindex(4, 4, 4, 4):
-        amp = finals[k, l, m, n].reshape(-1)
-        norm = np.linalg.norm(amp)
-        prob = float(norm**2)
-        if prob < _PROB_FLOOR:
-            raise ClosureViolation("vanishing probability inside the protocol")
-        final = PureState(3, amp / norm)
-        inv = j_invariants(acin_standard_form(final))
-        matches = tuple(i for i, mi in enumerate(member_invs) if invariants_equivalent(inv, mi)[0])
-        if not matches:
-            raise ClosureViolation(f"outcome {(k, l, m, n)} not in the generation family")
+    for row, ((k, l, m, n), hits) in enumerate(zip(np.ndindex(4, 4, 4, 4), equal.tolist())):
+        matches = tuple(i for i, hit in enumerate(hits) if hit)
         outcomes.append(
             GenerationOutcome(
                 bell_results=((k, l), (m, n)),
-                probability=prob,
-                final_state=final,
+                probability=float(probs[row]),
+                final_state=PureState(3, finals[row]),
                 s_psi_index=min(matches),
                 matched_members=matches,
             )

@@ -311,12 +311,12 @@ def invert_measures(ms: MeasureSet, tol_match: float = 1e-6) -> list[CanonicalFo
             # beta = pi/2: only alpha - gamma is physical.
             d = float(np.arcsin(np.sqrt(min(max(kappa_sq, 0.0), 1.0))))
             for dv in (d, -d, np.pi - d, d - np.pi):
-                raw_candidates.append((dv, beta, 0.0, beta_prime))
+                raw_candidates.append((dv, np.pi / 2, 0.0, beta_prime))
         elif sin2_diff is None:
             # beta = 0: only alpha + gamma is physical.
             s = float(np.arccos(np.sqrt(cos2_sum)))
             for sv in (s, -s, np.pi - s, s - np.pi):
-                raw_candidates.append((sv, beta, 0.0, beta_prime))
+                raw_candidates.append((sv, 0.0, 0.0, beta_prime))
         else:
             s = float(np.arccos(np.sqrt(cos2_sum)))
             d = float(np.arcsin(np.sqrt(sin2_diff)))

@@ -12,10 +12,12 @@ from triqent.classification import (
     acin_standard_form,
     classify,
     det_tau_sign,
+    invariants_equivalent,
     is_clu,
     j_invariants,
     lu_equivalent,
     realified_det_tau,
+    standard_forms,
 )
 from triqent.qcore import BiseparableInput, LocalUnitary, PureState, apply_local, basis_state
 
@@ -34,6 +36,26 @@ def plus_product():
 CLASS2_STATE = normalize(basis_state(3, 0).amplitudes + 0.7 * plus_product())
 CLASS3_STATE = normalize(basis_state(3, 0).amplitudes + np.exp(0.9j) * plus_product())
 CLASS4_STATE = normalize(basis_state(3, 0).amplitudes + plus_product())
+
+# A dressed form at beta = pi/2 whose two quadratic roots both give phi just
+# above pi (pi + 4.7e-12 and pi + 4.8e-12) in (-pi, pi] arithmetic.
+PHI_PAST_PI_STATE = PureState(3, np.array([complex(re, im) for re, im in (
+    (0.5063721437113999, -0.12408745234990753),
+    (-0.08876797344798178, 0.05485310501861411),
+    (0.029684311548422916, -0.10094762245924253),
+    (0.4374866013286249, 0.12162267774787272),
+    (0.03753043590438084, 0.08022018995030498),
+    (-0.25839195065395015, 0.3777442618288158),
+    (-0.3765781283007855, -0.3334235476112885),
+    (-0.17249229899891452, 0.0024238508488201448),
+)]))
+
+
+def linear_case_state():
+    """T1 of rank one with det(T0 + r T1) linear in r: one finite root plus infinity."""
+    t0 = np.array([[0.6, 0.2j], [-0.1, 0.5]])
+    t1 = np.outer([0.3, 0.4j], [0.5, -0.2])
+    return normalize(np.concatenate([t0.reshape(-1), t1.reshape(-1)]))
 
 
 class TestAcinStandardForm:
@@ -64,6 +86,33 @@ class TestAcinStandardForm:
         with pytest.raises(BiseparableInput):
             acin_standard_form(basis_state(3, 0))
 
+    def test_phi_just_past_pi_is_taken_into_range(self):
+        form = acin_standard_form(PHI_PAST_PI_STATE)
+        assert form.phi == np.pi
+        rotated = apply_local(PHI_PAST_PI_STATE, form.witness)
+        assert np.linalg.norm(rotated.amplitudes - form.amplitudes()) < 1e-9
+
+    @given(st.integers(9, 14), st.sampled_from([-1, 1]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_phi_next_to_pi(self, k, sign, seed):
+        # A standard form with phi = pi +- 10^-k, dressed.  Its own root gives
+        # phi within 10^-k of pi; the other root is chosen when its lambda0 is
+        # larger and then sits closer to pi, except at k = 9 where the own
+        # root's pi + 10^-9 may fall just outside the tolerance and the other
+        # root, exact there, is taken wherever it sits.
+        rng = np.random.default_rng(seed)
+        lams = rng.uniform(0.1, 1.0, 5)
+        lams /= np.linalg.norm(lams)
+        source = AcinForm(tuple(lams), np.pi + sign * 10.0**-k, LocalUnitary.identity(3))
+        dressed = apply_local(source.state(), qcore.random_local_unitary(3, seed + 1))
+        form = acin_standard_form(dressed)
+        assert 0.0 <= form.phi <= np.pi
+        assert np.linalg.norm(apply_local(dressed, form.witness).amplitudes - form.amplitudes()) < 1e-8
+        assert invariants_equivalent(j_invariants(form), j_invariants(source))[0]
+        own_root = np.abs(np.array(form.lambdas) - lams).max() < 1e-6
+        if own_root or k >= 10:
+            assert abs(form.phi - np.pi) <= 10.0**-k + 1e-12
+
     def test_builds_the_witness_once(self, monkeypatch):
         # Both quadratic roots give a candidate; only the chosen one gets a
         # witness: its rotation, its phases and their composite.
@@ -79,6 +128,48 @@ class TestAcinStandardForm:
         form = acin_standard_form(state)
         assert len(built) == 3
         assert np.linalg.norm(apply_local(state, form.witness).amplitudes - form.amplitudes()) < 1e-9
+
+
+class TestStandardFormsKernel:
+    # Root cases: GHZ, the rank-one-T1 state and the class-3 fixture are
+    # linear in r, W has its double root at infinity, the Haar states are
+    # quadratic.  The fully degenerate case (det(T0 + r T1) = 0 for every r)
+    # needs a common kernel vector of T0 and T1 (or of their transposes),
+    # which makes qubit 3 (or 2) a product factor, so no genuine state has it.
+    def batch(self, ghz, w):
+        return [genuine_haar(1), ghz, linear_case_state(), w, genuine_haar(2), CLASS3_STATE]
+
+    def test_rows_match_a_batch_of_one(self, ghz, w):
+        states = self.batch(ghz, w)
+        forms = standard_forms(np.array([s.tensor() for s in states]))
+        for row, state in enumerate(states):
+            single = acin_standard_form(state)
+            assert tuple(forms.lambdas[row]) == single.lambdas
+            assert forms.phi[row] == single.phi
+            inv = j_invariants(single)
+            assert forms.invariants.item(row) == inv
+
+    def test_covers_every_reachable_root_case(self, ghz, w):
+        t = np.array([s.tensor() for s in self.batch(ghz, w)])
+        det0, det1 = np.linalg.det(t[:, 0]), np.linalg.det(t[:, 1])
+        mixed = np.linalg.det(t[:, 0] + t[:, 1]) - det0 - det1
+        quadratic = np.abs(det1) > 1e-3
+        linear = (np.abs(det1) < 1e-15) & (np.abs(mixed) > 1e-3)
+        at_infinity = (np.abs(det1) < 1e-15) & (np.abs(mixed) < 1e-15) & (np.abs(det0) > 1e-3)
+        assert list(quadratic) == [True, False, False, False, True, False]
+        assert list(linear) == [False, True, True, False, False, True]
+        assert list(at_infinity) == [False, False, False, True, False, False]
+
+    def test_biseparable_row_raises(self, ghz, w):
+        states = self.batch(ghz, w)
+        states[2] = basis_state(3, 0)
+        with pytest.raises(BiseparableInput, match="row 2"):
+            standard_forms(np.array([s.tensor() for s in states]))
+
+    def test_purity_and_tangle_cross_check_raises(self):
+        # An input off the unit sphere breaks Tr rho_k^2 = 1 - 2 (J's of qubit k).
+        with pytest.raises(AssertionError, match="purity/tangle cross-check failed"):
+            standard_forms(1.01 * genuine_haar(3).tensor())
 
 
 class TestInvariants:

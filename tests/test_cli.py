@@ -166,7 +166,7 @@ class TestAnalyze:
                 bipartite.schmidt_split,
                 bipartite.tau_matrix,
                 canonical.decompose_split,
-                classification.acin_standard_form,
+                classification.standard_forms,
             )
         }
         analyze_state(qcore.genuine_haar_state(3))

@@ -4,7 +4,7 @@ import pytest
 from triqent import gensim, qcore
 from triqent.bipartite import binary_entropy
 from triqent.canonical import canonical_decomposition, form_from_params, zrot
-from triqent.classification import acin_standard_form, j_invariants, lu_equivalent
+from triqent.classification import acin_standard_form, j_invariants, lu_equivalent, standard_forms
 from triqent.gensim import (
     ControlledGate,
     _teleport,
@@ -155,6 +155,18 @@ class TestEnumeration:
         monkeypatch.setattr(gensim, "cj_state", counted_cj_state)
         outcomes = enumerate_generation(canonical_decomposition(genuine_haar(124)))
         assert len(outcomes) == 256 and len(cj_calls) == 2
+
+    def test_matches_every_outcome_in_one_kernel_call(self, monkeypatch):
+        rows = []
+
+        def counted(tensors):
+            rows.append(len(tensors))
+            return standard_forms(tensors)
+
+        monkeypatch.setattr(gensim, "standard_forms", counted)
+        outcomes = enumerate_generation(canonical_decomposition(genuine_haar(124)))
+        assert rows == [4 + 256]
+        assert len(outcomes) == 256
 
     def test_ghz_all_outcomes_equivalent(self, ghz):
         outcomes = enumerate_generation(canonical_decomposition(ghz))

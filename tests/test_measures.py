@@ -264,6 +264,32 @@ class TestInversion:
             hits.append(equal or conj)
         assert any(hits)
 
+    @pytest.mark.parametrize(
+        "beta, amps",
+        [
+            # A dressed generic form with beta = pi/2 exactly.
+            (np.pi / 2, (
+                (-0.4323605979981215, -0.2890863799299098), (0.05522050416738672, 0.07237422006932676),
+                (0.007092956734969196, 0.062308039981322436), (-0.3389316650389465, 0.5177829080383946),
+                (-0.23406121868809537, -0.4057096326368692), (0.03885606753355201, -0.017643478520728288),
+                (-0.024581714328982616, 0.030276390704551726), (0.08059259878742774, -0.3241565936440519),
+            )),
+            # A dressed generic form with beta = 0 exactly.
+            (0.0, (
+                (-0.2316468794335514, -0.03501902124064555), (-0.38166342231679046, -0.13747050619915505),
+                (0.13359250053823143, -0.40798575570689644), (0.35353656571218, 0.13974485806881598),
+                (0.19066908137961872, 0.40204911547897193), (0.3028030404060818, -0.21645919868600833),
+                (0.11503471234295772, 0.04500858018564351), (-0.09952459605014416, -0.30004310240227355),
+            )),
+        ],
+        ids=["beta_half_pi", "beta_zero"],
+    )
+    def test_edge_branches_snap_beta(self, beta, amps):
+        state = qcore.PureState(3, np.array([complex(re, im) for re, im in amps]))
+        cands = invert_measures(measure_set(canonical_decomposition(state)))
+        assert all(cand.beta == beta for cand in cands)
+        assert any(lu_equivalent(reconstruct_state(cand), state)[0] for cand in cands)
+
     def test_corrupted_measures_detected(self):
         m = measure_set(GENERIC_FORM)
         bad = MeasureSet(m.e1, m.e2, m.e3, min(m.e4 + 0.1, 1.0), m.e5, m.e6, m.e_1_23)
