@@ -17,7 +17,6 @@ from .qcore import (
     partial_trace,
     permute_qubits,
     real_state,
-    state_from_amplitudes,
     w_state,
 )
 from .bipartite import (
@@ -66,7 +65,6 @@ from .gensim import (
     ClosureViolation,
     ControlledGate,
     GenerationOutcome,
-    bell_project,
     cj_state,
     enumerate_generation,
 )

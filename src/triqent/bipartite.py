@@ -215,7 +215,7 @@ def schmidt_noise_floor(p: float) -> float:
     return float(min(32 * eps / max(abs(2 * p - 1), eps), 1e-4))
 
 
-def schmidt_split(state: PureState, tol_degenerate: float = TOL_DEGENERATE) -> SchmidtSplit:
+def schmidt_split(state: PureState) -> SchmidtSplit:
     """1|23 Schmidt normal form of a genuinely tripartite 3-qubit state.
 
     The returned eigenvectors satisfy c0, c1 >= 0.  For a degenerate
@@ -233,7 +233,7 @@ def schmidt_split(state: PureState, tol_degenerate: float = TOL_DEGENERATE) -> S
     psi0 = vh[0]
     psi1 = vh[1]
     w1 = u.conj().T
-    degenerate = abs(p - 0.5) <= tol_degenerate
+    degenerate = abs(p - 0.5) <= TOL_DEGENERATE
 
     if abs(p - 0.5) <= _SNAP_DEGENERATE:
         p = 0.5

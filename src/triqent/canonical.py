@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qcore import PAULI_I, PAULI_X, PAULI_Z, LocalUnitary, PureState
+from .qcore import PAULI_I, PAULI_X, PAULI_Z, InternalCheckFailed, LocalUnitary, PureState, check
 from .bipartite import (
     SchmidtSplit,
     TauMatrix,
@@ -32,6 +32,10 @@ from .bipartite import (
 TOL_MAXENT = 1e-9
 TOL_CASE = 1e-10
 _FOLD_TOL = 1e-11
+# Cross-check tolerances: the two measurement branches carry equal
+# concurrence, and E1 lies inside [E(C23), E(C^a_23)].
+_TOL_BRANCH = 1e-9
+_TOL_INTERVAL = 1e-9
 
 HALF_PI = np.pi / 2
 
@@ -256,7 +260,7 @@ def _canonical_node(raw_params) -> tuple[tuple, tuple]:
     ]
     candidates = [c for c in candidates if abs(c[0][0]) >= abs(c[0][2]) - 1e-12]
     if not candidates:
-        raise AssertionError("parameter orbit has no canonical representative")
+        raise InternalCheckFailed("canonical orbit representative", 1, 0)
     return max(candidates, key=lambda c: tuple(np.round(c[0], 10)))
 
 
@@ -347,10 +351,8 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> 
     if omega_override is not None:
         omega = float(omega_override) % np.pi
     x0, x1 = _branch_states(split, omega)
-    c_x0 = abs(_bilinear(x0, x0))
-    c_x1 = abs(_bilinear(x1, x1))
-    if abs(c_x0 - c_x1) > 1e-9:
-        raise AssertionError(f"branch entanglement mismatch: {c_x0} vs {c_x1}")
+    branch_gap = abs(abs(_bilinear(x0, x0)) - abs(_bilinear(x1, x1)))
+    check("branch concurrence cross-check", branch_gap, _TOL_BRANCH)
 
     witness = split.witness
     u_omega = np.array(
@@ -411,14 +413,7 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> 
         max_entangled_convention=bool(max_entangled),
         omega_case=case,
     )
-    _check_interval(form, tm)
-    return form
-
-
-def _check_interval(form: CanonicalForm, tm: TauMatrix) -> None:
     c23, ca23 = concurrence_pair(tm)
     e1 = eof(form.concurrence_s())
-    if not (eof(c23) - 1e-9 <= e1 <= eof(ca23) + 1e-9):
-        raise AssertionError(
-            f"branch entanglement {e1} outside [{eof(c23)}, {eof(ca23)}]"
-        )
+    check("E1 interval cross-check", max(eof(c23) - e1, e1 - eof(ca23)), _TOL_INTERVAL)
+    return form

@@ -15,8 +15,10 @@ import numpy as np
 
 from .qcore import (
     BiseparableInput,
+    InternalCheckFailed,
     LocalUnitary,
     PureState,
+    check,
     genuine_rows,
     marginal_spectra,
     scalar_pow,
@@ -264,10 +266,10 @@ def standard_forms(tensors) -> StandardForms:
     phi = np.minimum(np.maximum(phi, 0.0), np.pi)
     lambdas = np.concatenate([sv[..., :1], mags[..., 1:]], axis=-1)
 
-    found = admissible.any(axis=1)
-    if not found.all():
-        row = np.flatnonzero(~found)[0]
-        raise AssertionError(f"row {row}: no quadratic root produced a standard form")
+    missing = ~admissible.any(axis=1)
+    if missing.any():
+        row = np.flatnonzero(missing)[0]
+        raise InternalCheckFailed(f"row {row}: admissible standard-form root", missing.sum(), 0)
     l0 = lambdas[..., 0]
     second = admissible[:, 1] & (
         ~admissible[:, 0]
@@ -292,8 +294,7 @@ def _check_purities_and_tangle(spectra, hyperdet, inv: InvariantSet) -> None:
     expected = 1 - 2 * (np.array([inv.j1, inv.j2, inv.j3, inv.j4]).T @ _QUBIT_JS)
     resid = np.maximum(np.abs(purity - expected).max(axis=-1), np.abs(inv.j4 - _modulus(hyperdet)))
     worst = int(np.argmax(resid))
-    if not resid[worst] <= _TOL_PURITY_TANGLE:
-        raise AssertionError(f"row {worst}: purity/tangle cross-check failed, residual {resid[worst]:.3e}")
+    check(f"row {worst}: purity/tangle cross-check", resid[worst], _TOL_PURITY_TANGLE)
 
 
 def acin_standard_form(state: PureState) -> AcinForm:
@@ -330,7 +331,7 @@ def j_invariants(form: AcinForm) -> InvariantSet:
     return _invariants(np.array(form.lambdas), np.array(form.phi)).item()
 
 
-def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
+def _clu_tests(state: PureState) -> dict:
     """The one pass over a state: each stage computed once, then every CLU criterion."""
     split = schmidt_split(state)
     tm = tau_matrix(split)
@@ -342,7 +343,7 @@ def _clu_tests(state: PureState, tol_clu: float = TOL_CLU) -> dict:
     forms = standard_forms(state.tensor())
     acin, inv = _acin_form(forms), forms.invariants.item(0)
 
-    extremal = min(gap_min, gap_max) <= tol_clu
+    extremal = min(gap_min, gap_max) <= TOL_CLU
     ct_sq = tm.ctilde**2
     # Quantities built from the 1|23 eigenbasis are only reliable above the
     # Schmidt-gap noise floor; widen the zero detections accordingly so that
@@ -397,37 +398,34 @@ _NCLU_REALITY = 1e-6
 _PINNED_OVERLAP = 1e-4
 
 
-def is_clu(state: PureState, tol_clu: float = TOL_CLU) -> tuple[bool, dict]:
+def is_clu(state: PureState) -> tuple[bool, dict]:
     """Whether the state is LU-equivalent to its complex conjugate.
 
     The production decision combines the reality of the Grassl-type
     invariant with the structural criteria (degenerate splitting or a
     vanishing overlap, whose phase freedom always permits a real cross
     overlap).  The extremality, overlap-reality and polynomial criteria are
-    mandatory cross-checks: a decisive contradiction is a hard error, not a
-    fallback.
+    mandatory cross-checks: a decisive contradiction raises
+    ``InternalCheckFailed``, not a fallback.
 
     The evidence dict holds each criterion's value and outcome, and the stages
     they were computed from: ``split``, ``tau``, the canonical ``form``, the
     ``standard_form`` and its ``invariants``.
     """
-    ev = _clu_tests(state, tol_clu=tol_clu)
+    ev = _clu_tests(state)
     verdict = ev["structural_clu"] or ev["im_j6_test"]
-    if ev["structural_clu"] and not ev["im_j6_test"]:
-        raise AssertionError(f"structural CLU proof against nonreal invariant: {ev}")
+    if ev["structural_clu"]:
+        check("structural CLU vs Im J6 check", abs(ev["j6"].imag), _TOL_J6_IMAG)
     if verdict:
-        gap = min(ev["gap_min"], ev["gap_max"])
-        if gap >= _NCLU_GAP:
-            raise AssertionError(f"CLU verdict against extremality gap {gap}: {ev}")
-        if min(ev["res_eq23"], ev["res_eq24"]) >= _NCLU_POLY:
-            raise AssertionError(f"CLU verdict against polynomial residuals: {ev}")
+        check("CLU vs extremality gap check", min(ev["gap_min"], ev["gap_max"]), _NCLU_GAP)
+        check("CLU vs polynomial residual check", min(ev["res_eq23"], ev["res_eq24"]), _NCLU_POLY)
         tm = ev["tau"]
         pinned = (
             not ev["split_degenerate"]
             and min(tm.c0, tm.c1, abs(tm.ctilde)) >= _PINNED_OVERLAP
         )
-        if pinned and abs(ev["im_ctilde_sq"]) >= _NCLU_REALITY:
-            raise AssertionError(f"CLU verdict against nonreal cross overlap: {ev}")
+        if pinned:
+            check("CLU vs cross-overlap reality check", abs(ev["im_ctilde_sq"]), _NCLU_REALITY)
     return verdict, ev
 
 
@@ -482,14 +480,14 @@ def realified_det_tau(state: PureState) -> float:
     return _det_tau_realified(ev["tau"])
 
 
-def classify(state: PureState, tol_clu: float = TOL_CLU) -> ClassLabel:
+def classify(state: PureState) -> ClassLabel:
     """CLU/NCLU verdict plus the CLU subclass.
 
     Subclasses: vanishing tangle is the W class; a vanishing Grassl-type
     invariant (at nonzero tangle) is class 4, positive real part class 2,
     negative class 3.
     """
-    return label_from_evidence(*is_clu(state, tol_clu=tol_clu))
+    return label_from_evidence(*is_clu(state))
 
 
 def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
@@ -510,10 +508,10 @@ def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
         sub = StateClass.CLASS2
     else:
         sub = StateClass.CLASS3
-    if sub is StateClass.CLASS2 and ev["gap_max"] > TOL_CLU:
-        raise AssertionError(f"class-2 state off the maximal branch: {evidence}")
-    if sub is StateClass.CLASS3 and ev["gap_min"] > TOL_CLU:
-        raise AssertionError(f"class-3 state off the minimal branch: {evidence}")
+    if sub is StateClass.CLASS2:
+        check("class-2 maximal-branch check", ev["gap_max"], TOL_CLU)
+    if sub is StateClass.CLASS3:
+        check("class-3 minimal-branch check", ev["gap_min"], TOL_CLU)
     return ClassLabel(clu=True, subclass=sub, evidence=evidence)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bipartite, canonical, gensim, measures, qcore
 from .classification import (
-    TOL_CLU,
     AcinForm,
     acin_standard_form,
     classify as classify_state,  # noqa: F401 (perfbench tests read cli.classify_state)
@@ -28,7 +27,7 @@ from .classification import (
     label_from_evidence,
     realified_det_tau,
 )
-from .qcore import BiseparableInput, PureState
+from .qcore import BiseparableInput, InternalCheckFailed, PureState
 
 DEFAULT_SEED_ENV = "TRIQENT_SEED"
 
@@ -90,9 +89,9 @@ def state_to_record(state: PureState, rec_id: str, metadata: dict | None = None)
     }
 
 
-def analyze_state(state: PureState, tol_clu: float = TOL_CLU) -> dict:
+def analyze_state(state: PureState) -> dict:
     """Full analysis of one 3-qubit state, from one pass over it."""
-    clu, ev = is_clu(state, tol_clu=tol_clu)
+    clu, ev = is_clu(state)
     label = label_from_evidence(clu, ev)
     form, tm, acin, inv = ev["form"], ev["tau"], ev["standard_form"], ev["invariants"]
     c23, ca23 = bipartite.concurrence_pair(tm)
@@ -138,7 +137,11 @@ def analyze_state(state: PureState, tol_clu: float = TOL_CLU) -> dict:
 
 
 def _analyze_records(args, per_state) -> list[dict]:
-    """Apply ``per_state`` to each input record's state; a bad record becomes an error report."""
+    """Apply ``per_state`` to each input record's state; a bad record becomes an error report.
+
+    A record that fails an internal check gets the error
+    ``internal_check_failed`` with the check's name, residual and tolerance.
+    """
     reports = []
     for idx, record in enumerate(load_records(_read_input(args.input))):
         rec_id = str(record.get("id", idx))
@@ -153,6 +156,8 @@ def _analyze_records(args, per_state) -> list[dict]:
             report["error"] = "biseparable"
         except ValueError as exc:
             report["error"] = str(exc)
+        except InternalCheckFailed as exc:
+            report.update(error="internal_check_failed", check=exc.check, residual=exc.value, tol=exc.tol)
         if args.timing:
             report["timing_ms"] = round(1000 * (time.perf_counter() - started), 3)
         reports.append(report)
@@ -200,22 +205,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _exit_code(reports) -> int:
+    """1 when some record failed an internal check, else 0."""
+    return int(any(r.get("error") == "internal_check_failed" for r in reports))
+
+
 def cmd_analyze(args) -> int:
-    reports = _analyze_records(args, lambda state: analyze_state(state, tol_clu=args.tol_clu))
+    reports = _analyze_records(args, analyze_state)
     if args.table:
         _emit(_render_table(reports), args.out)
     else:
         _emit(_dump(reports), args.out)
-    return 0
+    return _exit_code(reports)
 
 
 def _subreport(args, keys) -> int:
-    reports = _analyze_records(args, lambda state: analyze_state(state, tol_clu=args.tol_clu))
+    reports = _analyze_records(args, analyze_state)
     slim = []
     for r in reports:
         item = {"id": r["id"]}
         if "error" in r:
-            item["error"] = r["error"]
+            item.update((k, r[k]) for k in ("error", "check", "residual", "tol") if k in r)
         else:
             for key in keys:
                 item[key] = r[key]
@@ -223,7 +233,7 @@ def _subreport(args, keys) -> int:
             item["timing_ms"] = r["timing_ms"]
         slim.append(item)
     _emit(_dump(slim), args.out)
-    return 0
+    return _exit_code(reports)
 
 
 def cmd_decompose(args) -> int:
@@ -253,8 +263,9 @@ def _gensim_report(state: PureState) -> dict:
 
 
 def cmd_gensim(args) -> int:
-    _emit(_dump(_analyze_records(args, _gensim_report)), args.out)
-    return 0
+    reports = _analyze_records(args, _gensim_report)
+    _emit(_dump(reports), args.out)
+    return _exit_code(reports)
 
 
 def _sample_product_vectors(rng):
@@ -510,9 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         add_common(p)
         p.set_defaults(fn=fn)
-        # --tol-clu only where analyze_state runs, --table only where it is rendered.
-        if fn is not cmd_gensim:
-            p.add_argument("--tol-clu", type=float, default=TOL_CLU)
+        # --table only where it is rendered.
         if fn is cmd_analyze:
             p.add_argument("--table", action="store_true", help="aligned text output")
 

@@ -78,30 +78,6 @@ def cj_state(gate: ControlledGate) -> PureState:
     return PureState(4, amps)
 
 
-def bell_project(state: PureState, pair, outcome: int) -> tuple[float, PureState | None]:
-    """Project two qubits onto a Bell-basis state and drop them.
-
-    Outcome indexing: 0 phi+, 1 psi+, 2 psi-, 3 phi- (matching the Pauli
-    corrections identity, x, y, z of the teleportation identity).  Returns
-    (probability, renormalized post state); measuring the whole register or
-    hitting a probability below ``_PROB_FLOOR`` yields a ``None`` post state.
-    """
-    qi, qj = pair
-    n = state.n_qubits
-    if qi == qj or not (1 <= qi <= n and 1 <= qj <= n):
-        raise ValueError("pair must be two distinct qubit indices")
-    if not 0 <= outcome <= 3:
-        raise ValueError("outcome must be in 0..3")
-    bell = BELL_BASIS[outcome].reshape(2, 2)
-    post = np.tensordot(bell.conj(), state.tensor(), axes=([0, 1], [qi - 1, qj - 1]))
-    amp = post.reshape(-1)
-    norm = np.linalg.norm(amp)
-    prob = float(norm**2)
-    if prob < _PROB_FLOOR or n == 2:
-        return prob if prob >= _PROB_FLOOR else 0.0, None
-    return prob, PureState(n - 2, amp / norm)
-
-
 def _teleport(psi: np.ndarray, gate: ControlledGate) -> np.ndarray:
     """Teleport ``gate`` through its channel state for all 16 Bell outcomes.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, entropy, partial_trace
+from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, check, entropy, partial_trace
 from .bipartite import (
     binary_entropy,
     binary_entropy_inverse_upper,
@@ -31,6 +31,11 @@ from .canonical import (
 
 TOL_E6 = 1e-9
 _TOL_XCHECK = 1e-10
+# A candidate's measure set must reproduce the inverted one within this, or
+# within the wider band where a = b to 1e-4 and the gate angle and its phases
+# are identifiable only to O(a - b).
+_TOL_MATCH = 1e-6
+_TOL_MATCH_NEAR_MAXENT = 2e-2
 _PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
@@ -118,9 +123,7 @@ def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
     ):
         ev = np.linalg.eigvalsh(_cj_mixture(u))
         val = float(-(ev[ev > 1e-300] * np.log2(ev[ev > 1e-300])).sum())
-        trig = _rank2_entropy(abs(ov_trig))
-        if abs(val - trig) > _TOL_XCHECK:
-            raise AssertionError(f"gate-cost cross-check failed: {val} vs {trig}")
+        check("gate-cost cross-check", abs(val - _rank2_entropy(abs(ov_trig))), _TOL_XCHECK)
         values.append(val)
     return values[0], values[1]
 
@@ -159,10 +162,7 @@ def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
         (_gain_backward_state(a, b, u2), pur5),
     ):
         rho1 = partial_trace(state, {1})
-        if abs(rho1.purity() - purity_expected) > _TOL_XCHECK:
-            raise AssertionError(
-                f"gain cross-check failed: {rho1.purity()} vs {purity_expected}"
-            )
+        check("gain cross-check", abs(rho1.purity() - purity_expected), _TOL_XCHECK)
         out.append(entropy(rho1))
     return out[0], out[1]
 
@@ -190,9 +190,7 @@ def _checked_splitting(form: CanonicalForm, val: float) -> float:
     ov_sq = splitting_overlap_sq(
         form.a, form.alpha, form.beta, form.gamma, form.beta_prime
     )
-    trig = _rank2_entropy(np.sqrt(max(ov_sq, 0.0)))
-    if abs(val - trig) > _TOL_XCHECK:
-        raise AssertionError(f"splitting cross-check failed: {val} vs {trig}")
+    check("splitting cross-check", abs(val - _rank2_entropy(np.sqrt(max(ov_sq, 0.0)))), _TOL_XCHECK)
     return val
 
 
@@ -219,21 +217,21 @@ def splitting_overlap_sq(a, alpha, beta, gamma, beta_prime) -> float:
     return float(first + second + last)
 
 
-def _e6_from(values, tol: float) -> int:
+def _e6_from(values) -> int:
     """E6 from the family entropies ``values`` (member 0 first)."""
     lo, hi = min(values), max(values)
-    if hi - lo <= tol:
+    if hi - lo <= TOL_E6:
         return 0
-    return 0 if values[0] <= lo + tol else 1
+    return 0 if values[0] <= lo + TOL_E6 else 1
 
 
-def e6(form: CanonicalForm, tol: float = TOL_E6) -> int:
+def e6(form: CanonicalForm) -> int:
     """0 when the state's E_{1|23} is minimal inside its generation set, else 1.
 
     When the whole set is degenerate (the state and its partner are
     LU-equivalent) the convention is 0.
     """
-    return _e6_from(_family_entropies(form), tol)
+    return _e6_from(_family_entropies(form))
 
 
 def measure_set(form: CanonicalForm) -> MeasureSet:
@@ -253,7 +251,7 @@ def measure_set(form: CanonicalForm) -> MeasureSet:
         e3=v3,
         e4=v4,
         e5=v5,
-        e6=_e6_from(family, TOL_E6),
+        e6=_e6_from(family),
         e_1_23=_checked_splitting(form, family[0]),
     )
 
@@ -263,7 +261,7 @@ def _overlap_from_entropy(value: float) -> float:
     return min(max(2 * binary_entropy_inverse_upper(value) - 1, 0.0), 1.0)
 
 
-def invert_measures(ms: MeasureSet, tol_match: float = 1e-6) -> list[CanonicalForm]:
+def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     """Canonical-form candidates reproducing an internally consistent measure set.
 
     At most four candidates survive; when a = b within tolerance only e1, e2
@@ -273,14 +271,15 @@ def invert_measures(ms: MeasureSet, tol_match: float = 1e-6) -> list[CanonicalFo
     gate and its phases is identifiable only to O(a - b); the acceptance
     filter widens accordingly there.
 
-    Raises InconsistentMeasures when no candidate reproduces ``ms``.
+    A candidate outside the canonical range is skipped; a failed internal
+    cross-check propagates.  Raises InconsistentMeasures when no candidate
+    reproduces ``ms``.
     """
     cs = eof_inverse(ms.e1)
     a_sq = 0.5 * (1 + np.sqrt(max(1 - cs * cs, 0.0)))
     a = float(np.sqrt(a_sq))
     b = float(np.sqrt(max(1 - a_sq, 0.0)))
-    if 0 < abs(2 * a_sq - 1) <= 1e-4:
-        tol_match = max(tol_match, 2e-2)
+    tol_match = _TOL_MATCH_NEAR_MAXENT if 0 < abs(2 * a_sq - 1) <= 1e-4 else _TOL_MATCH
 
     raw_candidates = []
     if a - b <= TOL_MAXENT:
@@ -337,7 +336,7 @@ def invert_measures(ms: MeasureSet, tol_match: float = 1e-6) -> list[CanonicalFo
         form = form_from_params(a, *params)
         try:
             got = measure_set(form)
-        except (ValueError, AssertionError):
+        except ValueError:
             continue
         resid = max(
             abs(got.e1 - ms.e1),

@@ -7,7 +7,7 @@ ordered |000>, |001>, ..., |111> with qubit 1 leftmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,24 @@ BELL_BASIS = (
 
 class BiseparableInput(ValueError):
     """Input state is not genuinely tripartite entangled."""
+
+
+class InternalCheckFailed(AssertionError):
+    """An internal cross-check of the package exceeded its tolerance.
+
+    ``value`` is the check's residual and ``tol`` its tolerance; a check that
+    something exists reports the number of missing items against tol 0.
+    """
+
+    def __init__(self, check: str, value: float, tol: float):
+        super().__init__(f"{check} failed: {value:.3e} > {tol:.1e}")
+        self.check, self.value, self.tol = check, float(value), float(tol)
+
+
+def check(name: str, value: float, tol: float) -> None:
+    """The one internal-check primitive: raise ``InternalCheckFailed`` unless ``value <= tol``."""
+    if not value <= tol:
+        raise InternalCheckFailed(name, value, tol)
 
 
 @dataclass(frozen=True)
@@ -81,14 +99,6 @@ class PureState:
             phase = ov / abs(ov) if abs(ov) > 1e-14 else 1.0
             return bool(np.allclose(self.amplitudes, phase * other.amplitudes, atol=atol))
         return bool(np.allclose(self.amplitudes, other.amplitudes, atol=atol))
-
-
-def state_from_amplitudes(amps) -> PureState:
-    amps = np.asarray(amps, dtype=complex).reshape(-1)
-    n = int(round(np.log2(amps.size)))
-    if 2**n != amps.size:
-        raise ValueError("amplitude count is not a power of two")
-    return PureState(n, amps)
 
 
 def basis_state(n: int, index: int) -> PureState:
@@ -154,10 +164,15 @@ class LocalUnitary:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian unit-trace operator on a 2^k dimensional space."""
+    """Hermitian unit-trace operator on a 2^k dimensional space.
+
+    ``spectrum`` holds the ascending ``eigvalsh`` eigenvalues the validation
+    computes, for ``eigenvalues`` and ``entropy`` to reuse.
+    """
 
     dim: int
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -167,15 +182,17 @@ class DensityOperator:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise ValueError("trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
+        spectrum = np.linalg.eigvalsh(m)
+        if spectrum.min() < -1e-10:
             raise ValueError("matrix has a significantly negative eigenvalue")
         m.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in descending order, clipped to [0, 1]."""
-        ev = np.linalg.eigvalsh(self.matrix)[::-1]
-        return np.clip(ev.real, 0.0, 1.0)
+        return np.clip(self.spectrum[::-1], 0.0, 1.0)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -222,7 +239,7 @@ def partial_trace(state: PureState, keep) -> DensityOperator:
 
 def entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    ev = np.linalg.eigvalsh(rho.matrix).real
+    ev = rho.spectrum
     ev = np.where(ev < 0, np.where(ev >= -EIG_CLIP, 0.0, ev), ev)
     if ev.min() < 0:
         raise ValueError("eigenvalue below clipping tolerance")
@@ -305,18 +322,18 @@ def marginal_spectra(tensors) -> np.ndarray:
     return 0.5 * (trace[..., None] + np.array([-1.0, 1.0]) * root[..., None])
 
 
-def genuine_rows(spectra: np.ndarray, tol: float = TOL_PRODUCT) -> np.ndarray:
+def genuine_rows(spectra: np.ndarray) -> np.ndarray:
     """Per state, from its ``marginal_spectra``: every single-qubit marginal significantly mixed."""
-    return (spectra[..., 0] > tol).all(axis=-1)
+    return (spectra[..., 0] > TOL_PRODUCT).all(axis=-1)
 
 
-def genuine_tripartite(state: PureState, tol: float = TOL_PRODUCT) -> bool:
+def genuine_tripartite(state: PureState) -> bool:
     """True iff every single-qubit marginal is significantly mixed."""
     if state.n_qubits != 3:
         raise ValueError("genuine_tripartite expects a 3-qubit state")
-    return bool(genuine_rows(marginal_spectra(state.tensor()), tol))
+    return bool(genuine_rows(marginal_spectra(state.tensor())))
 
 
-def require_tripartite(state: PureState, tol: float = TOL_PRODUCT) -> None:
-    if not genuine_tripartite(state, tol=tol):
+def require_tripartite(state: PureState) -> None:
+    if not genuine_tripartite(state):
         raise BiseparableInput("state is biseparable across at least one cut")

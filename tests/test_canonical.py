@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triqent import canonical, qcore
-from triqent.bipartite import TauMatrix, _bilinear, eof, schmidt_split, tau_matrix
+from triqent.bipartite import TauMatrix, _bilinear, concurrence_pair, eof, schmidt_split, tau_matrix
 from triqent.canonical import (
     OmegaCase,
     _branch_states,
@@ -20,7 +20,7 @@ from triqent.canonical import (
     yrot,
     zrot,
 )
-from triqent.qcore import BiseparableInput, PureState, apply_local, basis_state
+from triqent.qcore import BiseparableInput, InternalCheckFailed, PureState, apply_local, basis_state
 
 from conftest import genuine_haar
 
@@ -183,6 +183,26 @@ class TestCanonicalDecomposition:
         again = canonical_decomposition(reconstruct_state(form))
         assert abs(form.a - again.a) < 1e-8
         assert np.allclose(form.params, again.params, atol=1e-8)
+
+
+class TestInternalChecks:
+    @pytest.mark.parametrize("constant", ["_TOL_BRANCH", "_TOL_INTERVAL"])
+    def test_check_reports_its_residual(self, monkeypatch, constant):
+        state = genuine_haar(21)
+        split = schmidt_split(state)
+        c23, ca23 = concurrence_pair(tau_matrix(split))
+        form = canonical_decomposition(state)
+        x0, x1 = _branch_states(split, form.omega)
+        e1 = eof(form.concurrence_s())
+        branch_gap = abs(abs(_bilinear(x0, x0)) - abs(_bilinear(x1, x1)))
+        expected = {
+            "_TOL_BRANCH": ("branch concurrence cross-check", branch_gap),
+            "_TOL_INTERVAL": ("E1 interval cross-check", max(eof(c23) - e1, e1 - eof(ca23))),
+        }[constant]
+        monkeypatch.setattr(canonical, constant, -1.0)
+        with pytest.raises(InternalCheckFailed) as exc:
+            canonical_decomposition(state)
+        assert (exc.value.check, exc.value.value, exc.value.tol) == (*expected, -1.0)
 
 
 class TestCanonicalizeParams:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqent import qcore
+from triqent import classification, qcore
 from triqent.bipartite import concurrence_pair, eof, schmidt_split, tau_matrix, tangle
 from triqent.canonical import canonical_decomposition
 from triqent.classification import (
@@ -19,7 +19,14 @@ from triqent.classification import (
     realified_det_tau,
     standard_forms,
 )
-from triqent.qcore import BiseparableInput, LocalUnitary, PureState, apply_local, basis_state
+from triqent.qcore import (
+    BiseparableInput,
+    InternalCheckFailed,
+    LocalUnitary,
+    PureState,
+    apply_local,
+    basis_state,
+)
 
 from conftest import genuine_haar, random_acin_state
 
@@ -314,6 +321,23 @@ class TestClassify:
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
             classify(basis_state(3, 0))
+
+
+class TestInternalChecks:
+    @pytest.mark.parametrize(
+        "constant, check, residual",
+        [
+            ("_NCLU_GAP", "CLU vs extremality gap check", lambda ev: min(ev["gap_min"], ev["gap_max"])),
+            ("_NCLU_POLY", "CLU vs polynomial residual check", lambda ev: min(ev["res_eq23"], ev["res_eq24"])),
+            ("TOL_CLU", "class-2 maximal-branch check", lambda ev: ev["gap_max"]),
+        ],
+    )
+    def test_check_reports_its_residual(self, monkeypatch, constant, check, residual):
+        _, ev = is_clu(CLASS2_STATE)
+        monkeypatch.setattr(classification, constant, -1.0)
+        with pytest.raises(InternalCheckFailed) as exc:
+            classify(CLASS2_STATE)
+        assert (exc.value.check, exc.value.value, exc.value.tol) == (check, residual(ev), -1.0)
 
 
 class TestLuEquivalent:

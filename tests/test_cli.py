@@ -207,6 +207,11 @@ class TestSubcommands:
             ["standard-form", "--table"],
             ["gensim", "--table"],
             ["gensim", "--tol-clu", "0.5"],
+            ["analyze", "--tol-clu", "0.5"],
+            ["decompose", "--tol-clu", "0.5"],
+            ["measures", "--tol-clu", "0.5"],
+            ["classify", "--tol-clu", "0.5"],
+            ["standard-form", "--tol-clu", "0.5"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -218,6 +223,28 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_internal_check_failure_becomes_an_error_record(self, command, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([ghz_record()]))
+        _, ghz_only = run_cli([command, str(path)], capsys)
+        bad = _class_state("class2", np.random.default_rng(0))
+        _, ev = classification.is_clu(bad)
+        path.write_text(json.dumps([state_to_record(bad, "bad"), ghz_record()]))
+        # Forced by a tolerance no residual meets, so the record fails whatever the verdict rule.
+        monkeypatch.setattr(classification, "TOL_CLU", -1.0)
+        code, out = run_cli([command, str(path)], capsys)
+        assert code == 1
+        reports = json.loads(out)
+        assert reports[0] == {
+            "id": "bad",
+            "error": "internal_check_failed",
+            "check": "class-2 maximal-branch check",
+            "residual": ev["gap_max"],
+            "tol": -1.0,
+        }
+        assert reports[1:] == json.loads(ghz_only)
 
     def test_gensim_reports_a_malformed_record_and_goes_on(self, tmp_path, capsys):
         bad = {"id": "short", "amplitudes": [[1, 0]] * 7}

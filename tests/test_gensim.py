@@ -8,7 +8,6 @@ from triqent.classification import acin_standard_form, j_invariants, lu_equivale
 from triqent.gensim import (
     ControlledGate,
     _teleport,
-    bell_project,
     cj_state,
     enumerate_generation,
     member_aggregates,
@@ -17,9 +16,6 @@ from triqent.measures import s_psi_set
 from triqent.qcore import PureState, entropy, partial_trace
 
 from conftest import genuine_haar
-
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
 
 def controlled_matrix(u, target):
     if target == 2:
@@ -71,47 +67,6 @@ class TestCjState:
             assert abs(entropy(partial_trace(cj, {1, 2})) - expected) < 1e-10
 
 
-class TestBellProject:
-    def test_phi_plus_on_phi_plus(self):
-        state = PureState(4, np.kron(PHI_PLUS, PHI_PLUS))
-        prob, post = bell_project(state, (1, 2), 0)
-        assert abs(prob - 1) < 1e-12
-        assert post.isclose(PureState(2, PHI_PLUS), atol=1e-12)
-        for outcome in (1, 2, 3):
-            prob, post = bell_project(state, (1, 2), outcome)
-            assert prob == 0.0 and post is None
-
-    def test_bare_pair_full_projection(self):
-        # Measuring a lone pair consumes the whole register.
-        pair = PureState(2, PHI_PLUS)
-        prob, post = bell_project(pair, (1, 2), 0)
-        assert abs(prob - 1) < 1e-12 and post is None
-        zeros = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-        prob, post = bell_project(zeros, (1, 2), 0)
-        assert abs(prob - 0.5) < 1e-12 and post is None
-
-    def test_phi_plus_on_00_pair(self):
-        zero = np.zeros(4, dtype=complex)
-        zero[0] = 1.0
-        state = PureState(4, np.kron(zero, PHI_PLUS))
-        prob, _ = bell_project(state, (1, 2), 0)
-        assert abs(prob - 0.5) < 1e-12
-
-    def test_probabilities_sum_to_one(self):
-        state = genuine_haar(31)
-        # extend to 4 qubits so two remain after projection
-        joint = PureState(4, np.kron(np.array([1, 0], dtype=complex), state.amplitudes))
-        total = sum(bell_project(joint, (2, 3), k)[0] for k in range(4))
-        assert abs(total - 1) < 1e-12
-
-    def test_bad_arguments(self):
-        state = genuine_haar(1)
-        with pytest.raises(ValueError):
-            bell_project(state, (1, 1), 0)
-        with pytest.raises(ValueError):
-            bell_project(state, (1, 2), 5)
-
-
 def on_qubits(ops: dict) -> np.ndarray:
     """8x8 operator acting with ``ops[q]`` on qubit q and the identity elsewhere."""
     out = np.eye(1)
@@ -142,16 +97,12 @@ class TestTeleportation:
 
 class TestEnumeration:
     def test_contracts_instead_of_projecting(self, monkeypatch):
-        def no_projection(*args):
-            raise AssertionError("bell_project called")
-
         cj_calls = []
 
         def counted_cj_state(gate):
             cj_calls.append(gate)
             return cj_state(gate)
 
-        monkeypatch.setattr(gensim, "bell_project", no_projection)
         monkeypatch.setattr(gensim, "cj_state", counted_cj_state)
         outcomes = enumerate_generation(canonical_decomposition(genuine_haar(124)))
         assert len(outcomes) == 256 and len(cj_calls) == 2

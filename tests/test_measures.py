@@ -26,7 +26,7 @@ from triqent.measures import (
     splitting_overlap_sq,
 )
 from triqent.gensim import ControlledGate
-from triqent.qcore import apply_local
+from triqent.qcore import InternalCheckFailed, apply_local
 
 from conftest import genuine_haar
 
@@ -169,6 +169,24 @@ class TestFamilyDefinition:
         monkeypatch.setattr(measures, "splitting_overlap_sq", lambda *args: 0.5)
         with pytest.raises(AssertionError, match="splitting cross-check"):
             measure_set(GENERIC_FORM)
+
+
+class TestInternalChecks:
+    def test_gate_cost_check_reports_its_residual(self, monkeypatch):
+        f = GENERIC_FORM
+        e2, _ = e2_e3_imp(f)
+        trig = binary_entropy(0.5 * (1 + abs(np.cos(f.beta) * np.cos(f.alpha + f.gamma))))
+        monkeypatch.setattr(measures, "_TOL_XCHECK", -1.0)
+        with pytest.raises(InternalCheckFailed) as exc:
+            measure_set(f)
+        err = exc.value
+        assert (err.check, err.value, err.tol) == ("gate-cost cross-check", abs(e2 - trig), -1.0)
+
+    def test_inversion_propagates_a_candidates_check(self, monkeypatch):
+        ms = measure_set(GENERIC_FORM)
+        monkeypatch.setattr(measures, "_TOL_XCHECK", -1.0)
+        with pytest.raises(InternalCheckFailed, match="gate-cost cross-check"):
+            invert_measures(ms)
 
 
 class TestE6:

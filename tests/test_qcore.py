@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from triqent import qcore
 from triqent.qcore import (
+    InternalCheckFailed,
     LocalUnitary,
     PureState,
     apply_local,
@@ -123,6 +127,23 @@ class TestEntropy:
         if s < 1e-12:
             assert rho.eigenvalues()[0] >= 1 - 1e-9
 
+    def test_reuses_the_validated_spectrum(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(1)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rho = partial_trace(genuine_haar(8), {1})
+        s, ev = entropy(rho), rho.eigenvalues()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = eigvalsh(rho.matrix)
+        assert np.array_equal(ev, np.clip(expected[::-1], 0.0, 1.0))
+        assert s == float(-(expected * np.log2(expected)).sum())
+
 
 class TestSampling:
     def test_haar_deterministic(self):
@@ -184,3 +205,32 @@ class TestPermute:
         state = genuine_haar(5)
         out = permute_qubits(permute_qubits(state, (3, 2, 1)), (3, 2, 1))
         assert out.isclose(state, atol=1e-14)
+
+
+class TestInternalCheck:
+    def test_passes_within_tolerance(self):
+        qcore.check("x cross-check", 1e-10, 1e-10)
+        qcore.check("x cross-check", -5.0, 1e-10)
+
+    def test_raises_with_name_value_and_tolerance(self):
+        with pytest.raises(InternalCheckFailed) as exc:
+            qcore.check("x cross-check", 2.5e-9, 1e-10)
+        err = exc.value
+        assert isinstance(err, AssertionError)
+        assert (err.check, err.value, err.tol) == ("x cross-check", 2.5e-9, 1e-10)
+        assert str(err) == "x cross-check failed: 2.500e-09 > 1.0e-10"
+
+    def test_nan_fails(self):
+        with pytest.raises(InternalCheckFailed, match="nan"):
+            qcore.check("x cross-check", float("nan"), 1e-10)
+
+    def test_package_has_no_other_assertion(self):
+        # Every internal check goes through qcore.check or raises InternalCheckFailed.
+        found = []
+        for path in sorted(Path(qcore.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                raised = getattr(node, "exc", None)
+                raised = getattr(raised, "func", raised)
+                if isinstance(node, ast.Assert) or getattr(raised, "id", None) == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
