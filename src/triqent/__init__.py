@@ -22,7 +22,6 @@ from .qcore import (
 from .bipartite import (
     SchmidtSplit,
     TauMatrix,
-    concurrence_pair,
     concurrence_pure,
     eof,
     schmidt_split,
@@ -52,8 +51,10 @@ from .classification import (
     ClassLabel,
     InvariantSet,
     NotCLU,
+    StateAnalysis,
     StateClass,
     acin_standard_form,
+    analyze,
     classify,
     det_tau_sign,
     is_clu,

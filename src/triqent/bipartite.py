@@ -7,7 +7,7 @@ overlap <u~|v> equals B(u, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .qcore import (
 )
 
 TOL_DEGENERATE = 1e-9
+# Overlaps at or below this, or at the Schmidt noise floor above it, count as
+# zero (``TauMatrix.zero``).
+TOL_OVERLAP = 1e-10
 
 # sigma_y x sigma_y is real symmetric; rows/cols ordered |00>,|01>,|10>,|11>.
 _YY = np.array(
@@ -126,7 +129,13 @@ class SchmidtSplit:
 
 @dataclass(frozen=True)
 class TauMatrix:
-    """Symmetric 2x2 matrix tau_ij = sqrt(p_i p_j) <psi_i~|psi_j> and scalars."""
+    """Symmetric 2x2 matrix tau_ij = sqrt(p_i p_j) <psi_i~|psi_j> and scalars.
+
+    ``c23`` = s1 - s2 and ``ca23`` = s1 + s2 are C_23 and C^a_23, and
+    ``e_c23``, ``e_ca23`` their entanglements of formation: the ends of the
+    interval the branch entanglement E1 lies in.  An overlap at or below
+    ``zero`` = max(``TOL_OVERLAP``, ``schmidt_noise_floor(p)``) counts as zero.
+    """
 
     c0: float
     c1: float
@@ -136,11 +145,27 @@ class TauMatrix:
     s2: float
     p: float
     degenerate: bool
+    c23: float = field(init=False)
+    ca23: float = field(init=False)
+    e_c23: float = field(init=False)
+    e_ca23: float = field(init=False)
+    zero: float = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.tau, dtype=complex)
         t.flags.writeable = False
-        object.__setattr__(self, "tau", t)
+        c23 = min(max(self.s1 - self.s2, 0.0), 1.0)
+        ca23 = min(self.s1 + self.s2, 1.0)
+        derived = dict(
+            tau=t,
+            c23=c23,
+            ca23=ca23,
+            e_c23=eof(c23),
+            e_ca23=eof(ca23),
+            zero=max(TOL_OVERLAP, schmidt_noise_floor(self.p)),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _phase_fix(vec: np.ndarray, c: complex, zero_thr: float = 1e-12) -> tuple[np.ndarray, complex]:
@@ -293,13 +318,6 @@ def tau_matrix(split: SchmidtSplit) -> TauMatrix:
         p=p,
         degenerate=split.degenerate,
     )
-
-
-def concurrence_pair(tm: TauMatrix) -> tuple[float, float]:
-    """(C_23, C^a_23) from the singular values of tau."""
-    c23 = min(max(tm.s1 - tm.s2, 0.0), 1.0)
-    ca23 = min(tm.s1 + tm.s2, 1.0)
-    return c23, ca23
 
 
 def concurrence_pair_closed_form(tm: TauMatrix) -> tuple[float, float]:

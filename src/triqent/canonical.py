@@ -12,7 +12,7 @@ U3 = Y(beta') where Z(x) = exp(i x sigma_z), Y(x) = exp(i x sigma_y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,14 +22,13 @@ from .bipartite import (
     SchmidtSplit,
     TauMatrix,
     _bilinear,
-    concurrence_pair,
     eof,
-    schmidt_noise_floor,
     schmidt_split,
     tau_matrix,
 )
 
 TOL_MAXENT = 1e-9
+# |cos arg ctilde| at or below this puts ctilde on the imaginary axis.
 TOL_CASE = 1e-10
 _FOLD_TOL = 1e-11
 # Cross-check tolerances: the two measurement branches carry equal
@@ -91,7 +90,7 @@ class CanonicalForm:
     """Parameters of the two-branch decomposition plus the local-unitary witness.
 
     ``apply_local(input, witness)`` equals ``reconstruct_state(form)`` up to a
-    global phase.
+    global phase.  ``e1`` is the entanglement of formation of psi_s.
     """
 
     a: float
@@ -103,6 +102,10 @@ class CanonicalForm:
     witness: LocalUnitary
     max_entangled_convention: bool
     omega_case: OmegaCase = OmegaCase.GENERIC
+    e1: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "e1", eof(self.concurrence_s()))
 
     @property
     def b(self) -> float:
@@ -138,7 +141,7 @@ def form_from_params(
     )
 
 
-def solve_omega(tm: TauMatrix, p: float | None = None) -> tuple[float, OmegaCase]:
+def solve_omega(tm: TauMatrix) -> tuple[float, OmegaCase]:
     """Phase making the two measurement branches equally entangled.
 
     Generic case: omega = arctan(x cot(arg ctilde)) reduced to [0, pi),
@@ -146,11 +149,10 @@ def solve_omega(tm: TauMatrix, p: float | None = None) -> tuple[float, OmegaCase
     i  (c0 = c1 = 0)                       -> omega = 0;
     ii (p c0 = (1-p) c1 != 0, ctilde in iR) -> omega maximizing C(psi_s);
     iii (ctilde = 0)                        -> omega maximizing C(psi_s).
-    In both ii and iii the maximum sits at omega = 0.
+    In both ii and iii the maximum sits at omega = 0.  Overlaps at or below
+    ``tm.zero`` count as zero.
     """
-    if p is None:
-        p = tm.p
-    zero = max(TOL_CASE, schmidt_noise_floor(p))
+    p, zero = tm.p, tm.zero
     n = p * tm.c0 + (1 - p) * tm.c1
     d = p * tm.c0 - (1 - p) * tm.c1
     if n <= zero:
@@ -331,25 +333,15 @@ def reconstruct_state(form: CanonicalForm) -> PureState:
     return _two_branch(psi_s, *branch_unitaries(*form.params))
 
 
-def canonical_decomposition(
-    state: PureState,
-    omega_override: float | None = None,
-) -> CanonicalForm:
-    """Canonical form of a genuinely tripartite 3-qubit state.
-
-    ``omega_override`` replaces the canonical omega (exploration only; the
-    default resolves the degenerate cases by maximizing the branch
-    entanglement).
-    """
+def canonical_decomposition(state: PureState) -> CanonicalForm:
+    """Canonical form of a genuinely tripartite 3-qubit state."""
     split = schmidt_split(state)
-    return decompose_split(split, tau_matrix(split), omega_override)
+    return decompose_split(split, tau_matrix(split))
 
 
-def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> CanonicalForm:
+def decompose_split(split: SchmidtSplit, tm: TauMatrix) -> CanonicalForm:
     """``canonical_decomposition`` of the state whose split and tau matrix are given."""
     omega, case = solve_omega(tm)
-    if omega_override is not None:
-        omega = float(omega_override) % np.pi
     x0, x1 = _branch_states(split, omega)
     branch_gap = abs(abs(_bilinear(x0, x0)) - abs(_bilinear(x1, x1)))
     check("branch concurrence cross-check", branch_gap, _TOL_BRANCH)
@@ -413,7 +405,5 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix, omega_override=None) -> 
         max_entangled_convention=bool(max_entangled),
         omega_case=case,
     )
-    c23, ca23 = concurrence_pair(tm)
-    e1 = eof(form.concurrence_s())
-    check("E1 interval cross-check", max(eof(c23) - e1, e1 - eof(ca23)), _TOL_INTERVAL)
+    check("E1 interval cross-check", max(tm.e_c23 - form.e1, form.e1 - tm.e_ca23), _TOL_INTERVAL)
     return form

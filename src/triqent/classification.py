@@ -23,15 +23,8 @@ from .qcore import (
     marginal_spectra,
     scalar_pow,
 )
-from .bipartite import (
-    concurrence_pair,
-    eof,
-    schmidt_noise_floor,
-    schmidt_split,
-    tangle,
-    tau_matrix,
-)
-from .canonical import decompose_split
+from .bipartite import SchmidtSplit, TauMatrix, schmidt_split, tangle, tau_matrix
+from .canonical import CanonicalForm, decompose_split
 
 TOL_TANGLE = 1e-9
 TOL_J6 = 1e-9
@@ -141,7 +134,6 @@ class StandardForms:
 class ClassLabel:
     clu: bool
     subclass: StateClass
-    evidence: dict
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -331,62 +323,6 @@ def j_invariants(form: AcinForm) -> InvariantSet:
     return _invariants(np.array(form.lambdas), np.array(form.phi)).item()
 
 
-def _clu_tests(state: PureState) -> dict:
-    """The one pass over a state: each stage computed once, then every CLU criterion."""
-    split = schmidt_split(state)
-    tm = tau_matrix(split)
-    form = decompose_split(split, tm)
-    c23, ca23 = concurrence_pair(tm)
-    e1 = eof(form.concurrence_s())
-    gap_min = abs(e1 - eof(c23))
-    gap_max = abs(e1 - eof(ca23))
-    forms = standard_forms(state.tensor())
-    acin, inv = _acin_form(forms), forms.invariants.item(0)
-
-    extremal = min(gap_min, gap_max) <= TOL_CLU
-    ct_sq = tm.ctilde**2
-    # Quantities built from the 1|23 eigenbasis are only reliable above the
-    # Schmidt-gap noise floor; widen the zero detections accordingly so that
-    # exactly-CLU states with nearly degenerate splittings stay CLU.
-    zero = max(_TOL_ZERO, schmidt_noise_floor(tm.p))
-    structural = (
-        split.degenerate
-        or tm.c0 <= zero
-        or tm.c1 <= zero
-        or abs(tm.ctilde) <= zero
-    )
-    reality = structural or abs(ct_sq.imag) <= _TOL_REALITY + zero
-    res23 = abs(abs(inv.j5) - 2 * np.sqrt(max(inv.j1 * inv.j2 * inv.j3, 0.0)))
-    res24 = abs(
-        (inv.j4 + inv.j5) ** 2
-        - 4 * (inv.j1 + inv.j4) * (inv.j2 + inv.j4) * (inv.j3 + inv.j4)
-    )
-    poly = res23 <= _TOL_POLY or res24 <= _TOL_POLY
-    j6_real = abs(inv.j6.imag) <= _TOL_J6_IMAG
-
-    return {
-        "e1": e1,
-        "gap_min": gap_min,
-        "gap_max": gap_max,
-        "tangle": tangle(tm),
-        "extremal_test": extremal,
-        "ctilde_reality_test": reality,
-        "structural_clu": structural,
-        "im_ctilde_sq": float(ct_sq.imag),
-        "polynomial_test": poly,
-        "res_eq23": float(res23),
-        "res_eq24": float(res24),
-        "j6": inv.j6,
-        "im_j6_test": j6_real,
-        "invariants": inv,
-        "standard_form": acin,
-        "form": form,
-        "split": split,
-        "tau": tm,
-        "split_degenerate": split.degenerate,
-    }
-
-
 # Decisive bands for the cross-criteria consistency check.  The extremality
 # gap and the polynomial residuals detect the distance to the CLU manifold
 # only quadratically, so small values of theirs cannot certify CLU; values
@@ -398,38 +334,132 @@ _NCLU_REALITY = 1e-6
 _PINNED_OVERLAP = 1e-4
 
 
-def is_clu(state: PureState) -> tuple[bool, dict]:
-    """Whether the state is LU-equivalent to its complex conjugate.
+@dataclass(frozen=True)
+class StateAnalysis:
+    """Every stage, CLU criterion and label of one state, built by ``analyze``.
 
-    The production decision combines the reality of the Grassl-type
-    invariant with the structural criteria (degenerate splitting or a
-    vanishing overlap, whose phase freedom always permits a real cross
-    overlap).  The extremality, overlap-reality and polynomial criteria are
-    mandatory cross-checks: a decisive contradiction raises
-    ``InternalCheckFailed``, not a fallback.
-
-    The evidence dict holds each criterion's value and outcome, and the stages
-    they were computed from: ``split``, ``tau``, the canonical ``form``, the
-    ``standard_form`` and its ``invariants``.
+    Stages: the 1|23 ``split``, its ``tau`` matrix, the canonical ``form``, the
+    ``standard_form`` and its ``invariants``.  Numbers: ``gap_min`` and
+    ``gap_max``, the distances of E1 from E(C23) and E(Ca23); the ``tangle``;
+    ``res_eq23`` and ``res_eq24``, the residuals of the two polynomial CLU
+    conditions; and Im ctilde^2.  Criteria: ``structural`` (a degenerate split
+    or a vanishing overlap) and the outcomes of the four CLU tests: E1 at an
+    end of the interval (``extremal``), a real ctilde^2 (``reality``), a
+    vanishing polynomial residual (``polynomial``) and a real J6 (``j6_real``).
     """
-    ev = _clu_tests(state)
-    verdict = ev["structural_clu"] or ev["im_j6_test"]
-    if ev["structural_clu"]:
-        check("structural CLU vs Im J6 check", abs(ev["j6"].imag), _TOL_J6_IMAG)
-    if verdict:
-        check("CLU vs extremality gap check", min(ev["gap_min"], ev["gap_max"]), _NCLU_GAP)
-        check("CLU vs polynomial residual check", min(ev["res_eq23"], ev["res_eq24"]), _NCLU_POLY)
-        tm = ev["tau"]
-        pinned = (
-            not ev["split_degenerate"]
-            and min(tm.c0, tm.c1, abs(tm.ctilde)) >= _PINNED_OVERLAP
-        )
-        if pinned:
-            check("CLU vs cross-overlap reality check", abs(ev["im_ctilde_sq"]), _NCLU_REALITY)
-    return verdict, ev
+
+    split: SchmidtSplit
+    tau: TauMatrix
+    form: CanonicalForm
+    standard_form: AcinForm
+    invariants: InvariantSet
+    gap_min: float
+    gap_max: float
+    tangle: float
+    res_eq23: float
+    res_eq24: float
+    im_ctilde_sq: float
+    structural: bool
+    extremal: bool
+    reality: bool
+    polynomial: bool
+    j6_real: bool
+    label: ClassLabel
+
+    @property
+    def clu(self) -> bool:
+        return self.label.clu
 
 
-def _det_tau_realified(tm) -> float:
+def analyze(state: PureState) -> StateAnalysis:
+    """The one pass over a state: each stage computed once, then every CLU
+    criterion, the verdict and the subclass.
+
+    The verdict combines the reality of the Grassl-type invariant J6 with the
+    structural criterion, whose phase freedom always permits a real cross
+    overlap.  The extremality, overlap-reality and polynomial criteria are
+    mandatory cross-checks: a decisive contradiction raises
+    ``InternalCheckFailed``, not a fallback, and so does a class-2 state off
+    the maximal branch or a class-3 state off the minimal one.
+
+    Subclasses: vanishing tangle is the W class; a vanishing J6 (at nonzero
+    tangle) is class 4, positive real part class 2, negative class 3.
+    """
+    split = schmidt_split(state)
+    tm = tau_matrix(split)
+    form = decompose_split(split, tm)
+    forms = standard_forms(state.tensor())
+    inv = forms.invariants.item(0)
+    gap_min = abs(form.e1 - tm.e_c23)
+    gap_max = abs(form.e1 - tm.e_ca23)
+    tau3 = tangle(tm)
+
+    ct_sq = tm.ctilde**2
+    # Quantities built from the 1|23 eigenbasis are only reliable above the
+    # Schmidt-gap noise floor; the zero detections sit at ``tm.zero`` so that
+    # exactly-CLU states with nearly degenerate splittings stay CLU.
+    structural = split.degenerate or min(tm.c0, tm.c1, abs(tm.ctilde)) <= tm.zero
+    res23 = abs(abs(inv.j5) - 2 * np.sqrt(max(inv.j1 * inv.j2 * inv.j3, 0.0)))
+    res24 = abs(
+        (inv.j4 + inv.j5) ** 2
+        - 4 * (inv.j1 + inv.j4) * (inv.j2 + inv.j4) * (inv.j3 + inv.j4)
+    )
+    j6_real = abs(inv.j6.imag) <= _TOL_J6_IMAG
+
+    clu = structural or j6_real
+    if structural:
+        check("structural CLU vs Im J6 check", abs(inv.j6.imag), _TOL_J6_IMAG)
+    if clu:
+        check("CLU vs extremality gap check", min(gap_min, gap_max), _NCLU_GAP)
+        check("CLU vs polynomial residual check", min(res23, res24), _NCLU_POLY)
+        if not split.degenerate and min(tm.c0, tm.c1, abs(tm.ctilde)) >= _PINNED_OVERLAP:
+            check("CLU vs cross-overlap reality check", abs(ct_sq.imag), _NCLU_REALITY)
+
+    if not clu:
+        sub = StateClass.NCLU
+    elif tau3 <= TOL_TANGLE:
+        sub = StateClass.CLASS1_W
+    elif abs(inv.j6) <= TOL_J6:
+        sub = StateClass.CLASS4
+    elif inv.j6.real > 0:
+        sub = StateClass.CLASS2
+        check("class-2 maximal-branch check", gap_max, TOL_CLU)
+    else:
+        sub = StateClass.CLASS3
+        check("class-3 minimal-branch check", gap_min, TOL_CLU)
+
+    return StateAnalysis(
+        split=split,
+        tau=tm,
+        form=form,
+        standard_form=_acin_form(forms),
+        invariants=inv,
+        gap_min=gap_min,
+        gap_max=gap_max,
+        tangle=tau3,
+        res_eq23=float(res23),
+        res_eq24=float(res24),
+        im_ctilde_sq=float(ct_sq.imag),
+        structural=structural,
+        extremal=min(gap_min, gap_max) <= TOL_CLU,
+        reality=structural or abs(ct_sq.imag) <= _TOL_REALITY + tm.zero,
+        polynomial=res23 <= _TOL_POLY or res24 <= _TOL_POLY,
+        j6_real=j6_real,
+        label=ClassLabel(clu=clu, subclass=sub),
+    )
+
+
+def is_clu(state: PureState) -> bool:
+    """Whether the state is LU-equivalent to its complex conjugate (see ``analyze``)."""
+    return analyze(state).clu
+
+
+def classify(state: PureState) -> ClassLabel:
+    """CLU/NCLU verdict plus the CLU subclass (see ``analyze``)."""
+    return analyze(state).label
+
+
+def _det_tau_realified(tm: TauMatrix) -> float:
     """det of tau after the sign redefinitions that make it real.
 
     For a real or purely imaginary ctilde the realification flips the sign
@@ -438,10 +468,9 @@ def _det_tau_realified(tm) -> float:
     """
     p, c0, c1, ct = tm.p, tm.c0, tm.c1, tm.ctilde
     pp = p * (1 - p)
-    zero = max(_TOL_ZERO, schmidt_noise_floor(p))
-    if abs(ct) <= zero:
+    if abs(ct) <= tm.zero:
         return pp * c0 * c1
-    if c0 <= zero or c1 <= zero:
+    if c0 <= tm.zero or c1 <= tm.zero:
         return pp * (c0 * c1 - abs(ct) ** 2)
     ct_sq = ct**2
     if ct_sq.real >= 0:
@@ -449,22 +478,20 @@ def _det_tau_realified(tm) -> float:
     return pp * (-c0 * c1 - abs(ct_sq))
 
 
-def det_tau_sign(state: PureState) -> tuple[int, bool]:
+def det_tau_sign(analysis: StateAnalysis) -> tuple[int, bool]:
     """Sign of det tau after making tau real, and whether it is well defined.
 
     The sign is ill-defined exactly when some eigenbasis choice makes the
     cross overlap ctilde vanish: a degenerate splitting, ctilde = 0
     directly, or a vanishing Grassl-type invariant at nonzero tangle.
     """
-    clu, ev = is_clu(state)
-    if not clu:
+    if not analysis.clu:
         raise NotCLU("det tau sign is defined for CLU states only")
-    tm = ev["tau"]
-    inv = ev["invariants"]
+    tm = analysis.tau
     well_defined = not (
-        ev["split_degenerate"]
-        or abs(tm.ctilde) <= max(_TOL_ZERO, schmidt_noise_floor(tm.p))
-        or (abs(inv.j6) <= TOL_J6 and ev["tangle"] > TOL_TANGLE)
+        analysis.split.degenerate
+        or abs(tm.ctilde) <= tm.zero
+        or (abs(analysis.invariants.j6) <= TOL_J6 and analysis.tangle > TOL_TANGLE)
     )
     det_r = _det_tau_realified(tm)
     if abs(det_r) <= TOL_TANGLE / 4:
@@ -472,47 +499,11 @@ def det_tau_sign(state: PureState) -> tuple[int, bool]:
     return (1 if det_r > 0 else -1), well_defined
 
 
-def realified_det_tau(state: PureState) -> float:
+def realified_det_tau(analysis: StateAnalysis) -> float:
     """det of the realified tau matrix (the quantity whose sign classifies)."""
-    clu, ev = is_clu(state)
-    if not clu:
+    if not analysis.clu:
         raise NotCLU("realified tau is defined for CLU states only")
-    return _det_tau_realified(ev["tau"])
-
-
-def classify(state: PureState) -> ClassLabel:
-    """CLU/NCLU verdict plus the CLU subclass.
-
-    Subclasses: vanishing tangle is the W class; a vanishing Grassl-type
-    invariant (at nonzero tangle) is class 4, positive real part class 2,
-    negative class 3.
-    """
-    return label_from_evidence(*is_clu(state))
-
-
-def label_from_evidence(clu: bool, ev: dict) -> ClassLabel:
-    """Subclass label from an ``is_clu`` verdict and its evidence dict.
-
-    Class 2 states must sit on the maximal branch, class 3 on the minimal one.
-    """
-    inv = ev["invariants"]
-    evidence = {k: ev[k] for k in ("e1", "gap_min", "gap_max", "tangle", "res_eq23", "res_eq24")}
-    evidence.update(im_j6=float(inv.j6.imag), re_j6=float(inv.j6.real))
-    if not clu:
-        return ClassLabel(clu=False, subclass=StateClass.NCLU, evidence=evidence)
-    if ev["tangle"] <= TOL_TANGLE:
-        sub = StateClass.CLASS1_W
-    elif abs(inv.j6) <= TOL_J6:
-        sub = StateClass.CLASS4
-    elif inv.j6.real > 0:
-        sub = StateClass.CLASS2
-    else:
-        sub = StateClass.CLASS3
-    if sub is StateClass.CLASS2:
-        check("class-2 maximal-branch check", ev["gap_max"], TOL_CLU)
-    if sub is StateClass.CLASS3:
-        check("class-3 minimal-branch check", ev["gap_min"], TOL_CLU)
-    return ClassLabel(clu=True, subclass=sub, evidence=evidence)
+    return _det_tau_realified(analysis.tau)
 
 
 def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:

@@ -20,11 +20,10 @@ from . import bipartite, canonical, gensim, measures, qcore
 from .classification import (
     AcinForm,
     acin_standard_form,
+    analyze,
     classify as classify_state,  # noqa: F401 (perfbench tests read cli.classify_state)
     invariants_equivalent,
-    is_clu,
     j_invariants,
-    label_from_evidence,
     realified_det_tau,
 )
 from .qcore import BiseparableInput, InternalCheckFailed, PureState
@@ -91,10 +90,10 @@ def state_to_record(state: PureState, rec_id: str, metadata: dict | None = None)
 
 def analyze_state(state: PureState) -> dict:
     """Full analysis of one 3-qubit state, from one pass over it."""
-    clu, ev = is_clu(state)
-    label = label_from_evidence(clu, ev)
-    form, tm, acin, inv = ev["form"], ev["tau"], ev["standard_form"], ev["invariants"]
-    c23, ca23 = bipartite.concurrence_pair(tm)
+    an = analyze(state)
+    form, tm, acin, inv = an.form, an.tau, an.standard_form, an.invariants
+    evidence = {k: getattr(an, k) for k in ("gap_min", "gap_max", "tangle", "res_eq23", "res_eq24")}
+    evidence.update(e1=form.e1, im_j6=inv.j6.imag, re_j6=inv.j6.real)
     mset = measures.measure_set(form)
     return {
         "canonical": {
@@ -109,9 +108,9 @@ def analyze_state(state: PureState) -> dict:
         },
         "measures": {k: (v if isinstance(v, int) else float(v)) for k, v in mset.as_dict().items()},
         "bipartite": {
-            "C23": float(c23),
-            "Ca23": float(ca23),
-            "tangle": float(ev["tangle"]),
+            "C23": float(tm.c23),
+            "Ca23": float(tm.ca23),
+            "tangle": float(an.tangle),
             "p": float(tm.p),
         },
         "standard_form": {
@@ -129,9 +128,9 @@ def analyze_state(state: PureState) -> dict:
             "sigma_minus": inv.sigma_minus,
         },
         "classification": {
-            "clu": label.clu,
-            "class": label.subclass.value,
-            "evidence": {k: float(v) for k, v in label.evidence.items()},
+            "clu": an.clu,
+            "class": an.label.subclass.value,
+            "evidence": {k: float(v) for k, v in evidence.items()},
         },
     }
 
@@ -144,10 +143,12 @@ def _analyze_records(args, per_state) -> list[dict]:
     """
     reports = []
     for idx, record in enumerate(load_records(_read_input(args.input))):
-        rec_id = str(record.get("id", idx))
-        report = {"id": rec_id}
+        is_object = isinstance(record, dict)
+        report = {"id": str(record.get("id", idx) if is_object else idx)}
         started = time.perf_counter()
         try:
+            if not is_object:
+                raise ValueError(f"record {idx}: expected a JSON object")
             state = record_to_state(record)
             if args.split != 1:
                 state = qcore.permute_qubits(state, _SPLIT_ORDER[args.split])
@@ -169,7 +170,8 @@ def _render_table(reports) -> str:
     lines = ["  ".join(f"{c:>10}" for c in cols)]
     for r in reports:
         if "error" in r:
-            lines.append(f"{r['id']:>10}  {r['error']}")
+            detail = f": {r['check']} ({r['residual']:.3e} > {r['tol']:.1e})" if "check" in r else ""
+            lines.append(f"{r['id']:>10}  {r['error']}{detail}")
             continue
         m = r["measures"]
         b = r["bipartite"]
@@ -326,17 +328,15 @@ def cmd_random(args) -> int:
 
 def _lu_signature(state: PureState):
     """Measures, J invariants and subclass of a state, from one pass over it."""
-    clu, ev = is_clu(state)
-    label = label_from_evidence(clu, ev)
-    return measures.measure_set(ev["form"]), ev["invariants"], label.subclass
+    an = analyze(state)
+    return measures.measure_set(an.form), an.invariants, an.label.subclass
 
 
 def _suite_monogamy(count, seed):
     worst = 0.0
     for i in range(count):
         tm = bipartite.tau_matrix(bipartite.schmidt_split(qcore.genuine_haar_state(seed + i)))
-        c23, ca23 = bipartite.concurrence_pair(tm)
-        worst = max(worst, abs(ca23**2 - c23**2 - bipartite.tangle(tm)))
+        worst = max(worst, abs(tm.ca23**2 - tm.c23**2 - bipartite.tangle(tm)))
     return {"max_residual": worst, "passed": bool(worst < 1e-9), "tolerance": 1e-9}
 
 
@@ -387,13 +387,8 @@ def _suite_oracles(count, seed):
         split = bipartite.schmidt_split(state)
         worst_sigma = max(worst_sigma, abs(inv.sigma_plus - split.p))
         tm = bipartite.tau_matrix(split)
-        pair_svd = bipartite.concurrence_pair(tm)
-        pair_closed = bipartite.concurrence_pair_closed_form(tm)
-        worst_closed = max(
-            worst_closed,
-            abs(pair_svd[0] - pair_closed[0]),
-            abs(pair_svd[1] - pair_closed[1]),
-        )
+        c23, ca23 = bipartite.concurrence_pair_closed_form(tm)
+        worst_closed = max(worst_closed, abs(tm.c23 - c23), abs(tm.ca23 - ca23))
         # det tau closed form (real standard forms only)
         if lams[1] > 1e-6:
             phi_real = float(rng.choice([0.0, np.pi]))
@@ -408,7 +403,7 @@ def _suite_oracles(count, seed):
                     * (inv_r.j2 + inv_r.j3 + inv_r.j4 - 0.25)
                     * np.exp(2j * phi_real)
                 ).real
-                det_r = realified_det_tau(state_r)
+                det_r = realified_det_tau(analyze(state_r))
                 worst_det = max(worst_det, abs(kp2 * km2 * det_r - rhs))
     passed = worst_sigma < 1e-9 and worst_det < 1e-8 and worst_closed < 1e-9
     return {
@@ -451,9 +446,9 @@ def _suite_roundtrip(count, seed):
     equivalent = True
     for i in range(count):
         state = qcore.genuine_haar_state(seed + i)
-        _, ev = is_clu(state)
-        form = ev["form"]
-        x0, x1 = canonical._branch_states(ev["split"], form.omega)
+        an = analyze(state)
+        form = an.form
+        x0, x1 = canonical._branch_states(an.split, form.omega)
         worst_branch = max(
             worst_branch,
             abs(
@@ -465,7 +460,7 @@ def _suite_roundtrip(count, seed):
         rot = qcore.apply_local(state, form.witness)
         ov = abs(np.vdot(rot.amplitudes, rec.amplitudes))
         worst_wit = max(worst_wit, 1 - ov)
-        eq, _ = invariants_equivalent(j_invariants(acin_standard_form(rec)), ev["invariants"])
+        eq, _ = invariants_equivalent(j_invariants(acin_standard_form(rec)), an.invariants)
         equivalent = equivalent and bool(eq)
     passed = worst_branch < 1e-9 and worst_wit < 1e-9 and equivalent
     return {

@@ -16,7 +16,6 @@ from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, check, entropy, parti
 from .bipartite import (
     binary_entropy,
     binary_entropy_inverse_upper,
-    eof,
     eof_inverse,
 )
 from .canonical import (
@@ -97,11 +96,6 @@ class SPsiSet:
 
 def _rank2_entropy(overlap_mag: float) -> float:
     return binary_entropy(0.5 * (1 + min(overlap_mag, 1.0)))
-
-
-def e1(form: CanonicalForm) -> float:
-    """Entanglement of the branch state psi_s."""
-    return eof(form.concurrence_s())
 
 
 def _cj_mixture(u: np.ndarray) -> np.ndarray:
@@ -246,7 +240,7 @@ def measure_set(form: CanonicalForm) -> MeasureSet:
     v4, v5 = e4_e5_gain(form)
     family = _family_entropies(form)
     return MeasureSet(
-        e1=e1(form),
+        e1=form.e1,
         e2=v2,
         e3=v3,
         e4=v4,

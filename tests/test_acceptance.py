@@ -11,7 +11,6 @@ import pytest
 from triqent import qcore
 from triqent.bipartite import (
     _bilinear,
-    concurrence_pair,
     eof,
     schmidt_split,
     tangle,
@@ -30,9 +29,9 @@ from triqent.classification import (
     StateClass,
     TOL_CLU,
     acin_standard_form,
+    analyze,
     classify,
     det_tau_sign,
-    is_clu,
     j_invariants,
     lu_equivalent,
     realified_det_tau,
@@ -58,7 +57,7 @@ def test_criterion_01_ghz_fixture():
     ):
         assert abs(value - target) < 1e-9, name
     tm = tau_matrix(schmidt_split(ghz))
-    c23, ca23 = concurrence_pair(tm)
+    c23, ca23 = tm.c23, tm.ca23
     assert abs(c23) < 1e-9 and abs(ca23 - 1) < 1e-9
     assert abs(tangle(tm) - 1) < 1e-9
     assert classify(ghz).subclass is StateClass.CLASS4
@@ -71,7 +70,7 @@ def test_criterion_02_w_fixture():
     w = qcore.w_state()
     tm = tau_matrix(schmidt_split(w))
     assert tangle(tm) <= 1e-9
-    c23, ca23 = concurrence_pair(tm)
+    c23, ca23 = tm.c23, tm.ca23
     assert abs(c23 - 2 / 3) < 1e-9 and abs(ca23 - 2 / 3) < 1e-9
     assert classify(w).subclass is StateClass.CLASS1_W
     # independent binary-entropy evaluation of E(concurrence 2/3)
@@ -86,7 +85,7 @@ def test_criterion_03_monogamy_identity():
     worst = 0.0
     for i in range(1000):
         tm = tau_matrix(schmidt_split(genuine_haar(100_000 + i)))
-        c23, ca23 = concurrence_pair(tm)
+        c23, ca23 = tm.c23, tm.ca23
         worst = max(worst, abs(ca23**2 - c23**2 - tangle(tm)))
     assert worst < 1e-9
     report("criterion 3 (monogamy identity)", f"1000 states, max residual {worst:.2e}")
@@ -183,7 +182,7 @@ def test_criterion_07_det_tau_oracle():
             4 * lams[0] ** 4 * lams[1] ** 2 * lams[4] ** 2
             * (inv.j2 + inv.j3 + inv.j4 - 0.25) * np.exp(2j * phi)
         ).real
-        worst = max(worst, abs(kp2 * km2 * realified_det_tau(state) - rhs))
+        worst = max(worst, abs(kp2 * km2 * realified_det_tau(analyze(state)) - rhs))
     assert worst < 1e-8
     report("criterion 7 (det tau closed form)", f"200 real standard forms, max residual {worst:.2e}")
 
@@ -192,12 +191,12 @@ def test_criterion_08_clu_agreement():
     # 500 real-amplitude states (CLU by construction) and 500 Haar states:
     # the extremality, overlap-reality, polynomial and invariant-imaginary
     # criteria must return identical verdicts on every sample.
-    def all_four(ev):
+    def all_four(an):
         return (
-            ev["extremal_test"],
-            ev["ctilde_reality_test"],
-            ev["polynomial_test"],
-            ev["im_j6_test"],
+            an.extremal,
+            an.reality,
+            an.polynomial,
+            an.j6_real,
         )
 
     reals = 0
@@ -208,17 +207,17 @@ def test_criterion_08_clu_agreement():
         if not qcore.genuine_tripartite(state):
             continue
         reals += 1
-        verdict, ev = is_clu(state)
-        assert verdict
-        assert all_four(ev) == (True, True, True, True)
+        an = analyze(state)
+        assert an.clu
+        assert all_four(an) == (True, True, True, True)
     min_gap = np.inf
     for i in range(500):
         state = genuine_haar(30_000 + i)
-        verdict, ev = is_clu(state)
-        assert not verdict
-        assert all_four(ev) == (False, False, False, False)
-        min_gap = min(min_gap, ev["gap_min"], ev["gap_max"])
-        assert ev["gap_min"] > 10 * TOL_CLU and ev["gap_max"] > 10 * TOL_CLU
+        an = analyze(state)
+        assert not an.clu
+        assert all_four(an) == (False, False, False, False)
+        min_gap = min(min_gap, an.gap_min, an.gap_max)
+        assert an.gap_min > 10 * TOL_CLU and an.gap_max > 10 * TOL_CLU
     report(
         "criterion 8 (CLU criteria agreement)",
         f"500 real CLU + 500 Haar NCLU, four verdicts identical, "
@@ -237,15 +236,15 @@ def test_criterion_09_class_fixtures():
         hits = 0
         for _ in range(100):
             state = _class_state(kind, rng)
-            label = classify(state)
-            if label.subclass is want:
+            an = analyze(state)
+            if an.label.subclass is want:
                 hits += 1
-            sign, well_defined = det_tau_sign(state)
+            sign, well_defined = det_tau_sign(an)
             if well_defined and sign != 0:
                 if sign < 0:
-                    assert label.evidence["gap_max"] < 1e-9
+                    assert an.gap_max < 1e-9
                 else:
-                    assert label.evidence["gap_min"] < 1e-9
+                    assert an.gap_min < 1e-9
         assert hits >= 99, kind
         rates[kind] = hits
     report("criterion 9 (class fixtures)", f"hit rates {rates}, det-tau signs consistent")

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from triqent import qcore
 from triqent.bipartite import (
-    concurrence_pair,
     concurrence_pair_closed_form,
     eof,
     eof_inverse,
@@ -210,30 +209,29 @@ class TestConcurrencePair:
         # Oracle: singular values of [[0,-1/2],[-1/2,0]] are {1/2, 1/2}.
         sv = np.linalg.svd(np.array([[0, -0.5], [-0.5, 0]]), compute_uv=False)
         assert np.allclose(sv, [0.5, 0.5])
-        c23, ca23 = concurrence_pair(tau_matrix(schmidt_split(ghz)))
-        assert abs(c23 - 0) < 1e-12 and abs(ca23 - 1) < 1e-12
+        tm = tau_matrix(schmidt_split(ghz))
+        assert abs(tm.c23 - 0) < 1e-12 and abs(tm.ca23 - 1) < 1e-12
 
     def test_w(self, w):
-        c23, ca23 = concurrence_pair(tau_matrix(schmidt_split(w)))
-        assert abs(c23 - 2 / 3) < 1e-12 and abs(ca23 - 2 / 3) < 1e-12
+        tm = tau_matrix(schmidt_split(w))
+        assert abs(tm.c23 - 2 / 3) < 1e-12 and abs(tm.ca23 - 2 / 3) < 1e-12
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_svd(self, seed):
         tm = tau_matrix(schmidt_split(genuine_haar(seed)))
-        svd_pair = concurrence_pair(tm)
         closed = concurrence_pair_closed_form(tm)
-        assert abs(svd_pair[0] - closed[0]) < 1e-9
-        assert abs(svd_pair[1] - closed[1]) < 1e-9
+        assert abs(tm.c23 - closed[0]) < 1e-9
+        assert abs(tm.ca23 - closed[1]) < 1e-9
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_matches_mixed_state_oracle(self, seed):
         state = genuine_haar(seed)
-        c23, ca23 = concurrence_pair(tau_matrix(schmidt_split(state)))
+        tm = tau_matrix(schmidt_split(state))
         oc, oca = wootters_pair(state)
-        assert abs(c23 - oc) < 1e-6
-        assert abs(ca23 - oca) < 1e-6
+        assert abs(tm.c23 - oc) < 1e-6
+        assert abs(tm.ca23 - oca) < 1e-6
 
 
 class TestTangle:
@@ -247,5 +245,4 @@ class TestTangle:
     @settings(max_examples=50, deadline=None)
     def test_monogamy_identity(self, seed):
         tm = tau_matrix(schmidt_split(genuine_haar(seed)))
-        c23, ca23 = concurrence_pair(tm)
-        assert abs(ca23**2 - c23**2 - tangle(tm)) < 1e-9
+        assert abs(tm.ca23**2 - tm.c23**2 - tangle(tm)) < 1e-9

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triqent import canonical, qcore
-from triqent.bipartite import TauMatrix, _bilinear, concurrence_pair, eof, schmidt_split, tau_matrix
+from triqent.bipartite import TauMatrix, _bilinear, eof, schmidt_split, tau_matrix
 from triqent.canonical import (
     OmegaCase,
     _branch_states,
@@ -53,7 +53,7 @@ class TestSolveOmega:
     def test_generic_example(self):
         # p c0 = 0.4, (1-p) c1 = 0.2, arg ctilde = pi/4: arctan(3 cot(pi/4)).
         tm = make_tau(0.5, 0.8, 0.4, 0.3 * np.exp(1j * np.pi / 4))
-        omega, case = solve_omega(tm, p=0.5)
+        omega, case = solve_omega(tm)
         assert case is OmegaCase.GENERIC
         assert abs(omega - np.arctan(3)) < 1e-12
         assert abs(omega - 1.2490457723982544) < 1e-12
@@ -133,17 +133,14 @@ class TestCanonicalDecomposition:
                 continue
             form = canonical_decomposition(state)
             tm = tau_matrix(schmidt_split(state))
-            from triqent.bipartite import concurrence_pair
-
-            c23, ca23 = concurrence_pair(tm)
             e1 = eof(form.concurrence_s())
-            assert min(abs(e1 - eof(c23)), abs(e1 - eof(ca23))) < 1e-8
+            assert min(abs(e1 - eof(tm.c23)), abs(e1 - eof(tm.ca23))) < 1e-8
 
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
             canonical_decomposition(basis_state(3, 0))
 
-    def test_omega_override_moves_between_extrema(self):
+    def test_omega_moves_between_extrema(self):
         # Case-iii state (both self-overlaps positive, cross overlap zero):
         # omega = 0 gives the maximal branch, pi/2 the minimal.
         amps = np.zeros(8, dtype=complex)
@@ -155,13 +152,9 @@ class TestCanonicalDecomposition:
         tm = tau_matrix(split)
         _, case = solve_omega(tm)
         assert case is OmegaCase.III
-        from triqent.bipartite import concurrence_pair
-
-        c23, ca23 = concurrence_pair(tm)
         f_max = canonical_decomposition(state)
-        f_min = canonical_decomposition(state, omega_override=np.pi / 2)
-        assert abs(f_max.concurrence_s() - ca23) < 1e-9
-        assert abs(f_min.concurrence_s() - c23) < 1e-9
+        assert abs(f_max.concurrence_s() - tm.ca23) < 1e-9
+        assert abs(branch_concurrence(split, np.pi / 2) - tm.c23) < 1e-9
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -190,14 +183,14 @@ class TestInternalChecks:
     def test_check_reports_its_residual(self, monkeypatch, constant):
         state = genuine_haar(21)
         split = schmidt_split(state)
-        c23, ca23 = concurrence_pair(tau_matrix(split))
+        tm = tau_matrix(split)
         form = canonical_decomposition(state)
         x0, x1 = _branch_states(split, form.omega)
         e1 = eof(form.concurrence_s())
         branch_gap = abs(abs(_bilinear(x0, x0)) - abs(_bilinear(x1, x1)))
         expected = {
             "_TOL_BRANCH": ("branch concurrence cross-check", branch_gap),
-            "_TOL_INTERVAL": ("E1 interval cross-check", max(eof(c23) - e1, e1 - eof(ca23))),
+            "_TOL_INTERVAL": ("E1 interval cross-check", max(eof(tm.c23) - e1, e1 - eof(tm.ca23))),
         }[constant]
         monkeypatch.setattr(canonical, constant, -1.0)
         with pytest.raises(InternalCheckFailed) as exc:

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triqent import classification, qcore
-from triqent.bipartite import concurrence_pair, eof, schmidt_split, tau_matrix, tangle
+from triqent.bipartite import schmidt_split, tau_matrix, tangle
 from triqent.canonical import canonical_decomposition
 from triqent.classification import (
     AcinForm,
     NotCLU,
     StateClass,
     acin_standard_form,
+    analyze,
     classify,
     det_tau_sign,
     invariants_equivalent,
@@ -223,44 +224,59 @@ class TestIsClu:
             if not qcore.genuine_tripartite(state):
                 continue
             count += 1
-            verdict, _ = is_clu(state)
-            assert verdict
+            assert is_clu(state)
         assert count >= 100
 
     def test_fixtures(self, ghz, w):
-        assert is_clu(ghz)[0]
-        assert is_clu(w)[0]
+        assert is_clu(ghz)
+        assert is_clu(w)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_haar_states_nclu_with_strict_interval(self, seed):
         state = genuine_haar(seed)
-        verdict, ev = is_clu(state)
-        assert not verdict
-        tm = tau_matrix(schmidt_split(state))
-        c23, ca23 = concurrence_pair(tm)
-        assert eof(c23) + 1e-9 < ev["e1"] < eof(ca23) - 1e-9
+        an = analyze(state)
+        assert not an.clu
+        assert an.tau.e_c23 + 1e-9 < an.form.e1 < an.tau.e_ca23 - 1e-9
 
 
 class TestDetTauSign:
     def test_ghz(self, ghz):
-        sign, well_defined = det_tau_sign(ghz)
+        an = analyze(ghz)
+        sign, well_defined = det_tau_sign(an)
         assert sign == -1 and not well_defined
         # the value itself comes from the lambda1 = 0 branch: -J4 scaled
         inv = j_invariants(acin_standard_form(ghz))
-        assert abs(realified_det_tau(ghz) + inv.j4) < 1e-12
+        assert abs(realified_det_tau(an) + inv.j4) < 1e-12
 
     def test_class2_nonpositive(self):
-        sign, well_defined = det_tau_sign(CLASS2_STATE)
+        sign, well_defined = det_tau_sign(analyze(CLASS2_STATE))
         assert sign <= 0 and well_defined
 
     def test_class3_nonnegative(self):
-        sign, well_defined = det_tau_sign(CLASS3_STATE)
+        sign, well_defined = det_tau_sign(analyze(CLASS3_STATE))
         assert sign >= 0
 
+    def test_label_and_sign_share_one_pass(self, monkeypatch):
+        calls = []
+        decompose_split = classification.decompose_split
+
+        def counted(*args):
+            calls.append(1)
+            return decompose_split(*args)
+
+        monkeypatch.setattr(classification, "decompose_split", counted)
+        an = analyze(CLASS2_STATE)
+        assert an.label.subclass is StateClass.CLASS2
+        assert det_tau_sign(an) == (-1, True)
+        assert len(calls) == 1
+
     def test_not_clu_rejected(self):
+        an = analyze(genuine_haar(3))
         with pytest.raises(NotCLU):
-            det_tau_sign(genuine_haar(3))
+            det_tau_sign(an)
+        with pytest.raises(NotCLU):
+            realified_det_tau(an)
 
     def test_sign_matches_extremal_branch(self):
         # On well-defined CLU samples a negative realified det tau puts the
@@ -274,17 +290,17 @@ class TestDetTauSign:
             state = AcinForm(tuple(lams), phi, LocalUnitary.identity(3)).state()
             if not qcore.genuine_tripartite(state):
                 continue
-            verdict, ev = is_clu(state)
-            if not verdict:
+            an = analyze(state)
+            if not an.clu:
                 continue
-            sign, well_defined = det_tau_sign(state)
+            sign, well_defined = det_tau_sign(an)
             if not well_defined or sign == 0:
                 continue
             checked += 1
             if sign < 0:
-                assert ev["gap_max"] < 1e-9  # maximal branch
+                assert an.gap_max < 1e-9  # maximal branch
             else:
-                assert ev["gap_min"] < 1e-9  # minimal branch
+                assert an.gap_min < 1e-9  # minimal branch
         assert checked >= 10
 
 
@@ -294,9 +310,10 @@ class TestClassify:
         assert label.subclass is StateClass.CLASS1_W and label.clu
 
     def test_ghz_class4(self, ghz):
-        label = classify(ghz)
-        assert label.subclass is StateClass.CLASS4
-        assert abs(label.evidence["tangle"] - 1) < 1e-9
+        an = analyze(ghz)
+        assert an.label == classify(ghz)
+        assert an.label.subclass is StateClass.CLASS4
+        assert abs(an.tangle - 1) < 1e-9
 
     def test_fixture_classes(self):
         assert classify(CLASS2_STATE).subclass is StateClass.CLASS2
@@ -327,17 +344,17 @@ class TestInternalChecks:
     @pytest.mark.parametrize(
         "constant, check, residual",
         [
-            ("_NCLU_GAP", "CLU vs extremality gap check", lambda ev: min(ev["gap_min"], ev["gap_max"])),
-            ("_NCLU_POLY", "CLU vs polynomial residual check", lambda ev: min(ev["res_eq23"], ev["res_eq24"])),
-            ("TOL_CLU", "class-2 maximal-branch check", lambda ev: ev["gap_max"]),
+            ("_NCLU_GAP", "CLU vs extremality gap check", lambda an: min(an.gap_min, an.gap_max)),
+            ("_NCLU_POLY", "CLU vs polynomial residual check", lambda an: min(an.res_eq23, an.res_eq24)),
+            ("TOL_CLU", "class-2 maximal-branch check", lambda an: an.gap_max),
         ],
     )
     def test_check_reports_its_residual(self, monkeypatch, constant, check, residual):
-        _, ev = is_clu(CLASS2_STATE)
+        an = analyze(CLASS2_STATE)
         monkeypatch.setattr(classification, constant, -1.0)
         with pytest.raises(InternalCheckFailed) as exc:
             classify(CLASS2_STATE)
-        assert (exc.value.check, exc.value.value, exc.value.tol) == (check, residual(ev), -1.0)
+        assert (exc.value.check, exc.value.value, exc.value.tol) == (check, residual(an), -1.0)
 
 
 class TestLuEquivalent:
@@ -378,7 +395,7 @@ class TestEq34Oracle:
                 * (inv.j2 + inv.j3 + inv.j4 - 0.25)
                 * np.exp(2j * phi)
             ).real
-            assert abs(kp2 * km2 * realified_det_tau(state) - rhs) < 1e-8
+            assert abs(kp2 * km2 * realified_det_tau(analyze(state)) - rhs) < 1e-8
         assert checked >= 40
 
 
@@ -389,7 +406,7 @@ class TestCrossCriterionAgreement:
         for seed in range(60):
             state = qcore.real_state(3, 700 + seed)
             if qcore.genuine_tripartite(state):
-                assert is_clu(state)[0]
+                assert is_clu(state)
         for seed in range(60):
             state = genuine_haar(46000 + seed)
-            assert not is_clu(state)[0]
+            assert not is_clu(state)

@@ -152,6 +152,34 @@ class TestAnalyze:
         _, out = run_cli(["analyze", str(path), "--table"], capsys)
         assert "Class4" in out and "E1" in out
 
+    def test_table_names_the_failed_check(self, monkeypatch, tmp_path, capsys):
+        bad = _class_state("class2", np.random.default_rng(0))
+        residual = classification.analyze(bad).gap_max
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([state_to_record(bad, "bad"), ghz_record()]))
+        monkeypatch.setattr(classification, "TOL_CLU", -1.0)
+        code, out = run_cli(["analyze", str(path), "--table"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == (
+            f"       bad  internal_check_failed: class-2 maximal-branch check ({residual:.3e} > -1.0e+00)"
+        )
+        assert "Class4" in lines[2]
+
+    @pytest.mark.parametrize("command", ["analyze", "gensim"])
+    def test_non_object_records_become_error_records(self, command, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([ghz_record()]))
+        _, ghz_only = run_cli([command, str(path)], capsys)
+        path.write_text(json.dumps([5, ghz_record(), None, [1, 2]]))
+        code, out = run_cli([command, str(path)], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        assert [reports[0], *reports[2:]] == [
+            {"id": str(idx), "error": f"record {idx}: expected a JSON object"} for idx in (0, 2, 3)
+        ]
+        assert reports[1:2] == json.loads(ghz_only)
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps([ghz_record(), w_record()]))
@@ -169,8 +197,11 @@ class TestAnalyze:
                 classification.standard_forms,
             )
         }
+        eof_calls = count_calls(monkeypatch, bipartite.eof)
         analyze_state(qcore.genuine_haar_state(3))
         assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(stages, 1)
+        # E(C23), E(Ca23) and E1, each once.
+        assert len(eof_calls) == 3
 
 
 class TestSubcommands:
@@ -230,7 +261,7 @@ class TestSubcommands:
         path.write_text(json.dumps([ghz_record()]))
         _, ghz_only = run_cli([command, str(path)], capsys)
         bad = _class_state("class2", np.random.default_rng(0))
-        _, ev = classification.is_clu(bad)
+        residual = classification.analyze(bad).gap_max
         path.write_text(json.dumps([state_to_record(bad, "bad"), ghz_record()]))
         # Forced by a tolerance no residual meets, so the record fails whatever the verdict rule.
         monkeypatch.setattr(classification, "TOL_CLU", -1.0)
@@ -241,7 +272,7 @@ class TestSubcommands:
             "id": "bad",
             "error": "internal_check_failed",
             "check": "class-2 maximal-branch check",
-            "residual": ev["gap_max"],
+            "residual": residual,
             "tol": -1.0,
         }
         assert reports[1:] == json.loads(ghz_only)

@@ -15,7 +15,6 @@ from triqent.classification import lu_equivalent
 from triqent.measures import (
     InconsistentMeasures,
     MeasureSet,
-    e1,
     e2_e3_imp,
     e4_e5_gain,
     e6,
@@ -43,16 +42,16 @@ def _partner_form(form):
 
 class TestE1:
     def test_ghz(self, ghz):
-        assert abs(e1(canonical_decomposition(ghz)) - 1) < 1e-12
+        assert abs(canonical_decomposition(ghz).e1 - 1) < 1e-12
 
     def test_w(self, w):
         # Oracle value: binary entropy form of E at concurrence 2/3.
         x = (1 + np.sqrt(1 - 4 / 9)) / 2
         expected = -x * np.log2(x) - (1 - x) * np.log2(1 - x)
-        assert abs(e1(canonical_decomposition(w)) - expected) < 1e-9
+        assert abs(canonical_decomposition(w).e1 - expected) < 1e-9
 
     def test_vanishes_as_branch_becomes_product(self):
-        values = [e1(form_from_params(a, 0.3, 0.4, 0.1, 0.2)) for a in (0.8, 0.95, 0.999, 0.999999)]
+        values = [form_from_params(a, 0.3, 0.4, 0.1, 0.2).e1 for a in (0.8, 0.95, 0.999, 0.999999)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-4
 
