@@ -65,40 +65,45 @@ def eof(concurrence: float) -> float:
 
     Strictly increasing on [0, 1] with eof(0) = 0 and eof(1) = 1.
     """
-    if concurrence < -1e-9 or concurrence > 1 + 1e-9:
+    if not (-1e-9 <= concurrence <= 1 + 1e-9):
         raise ValueError(f"concurrence out of range: {concurrence}")
     c = min(max(concurrence, 0.0), 1.0)
     return binary_entropy(0.5 * (1 + np.sqrt(max(1 - c * c, 0.0))))
 
 
-def eof_inverse(value: float) -> float:
-    """Concurrence whose entanglement of formation equals ``value``."""
-    if value < -1e-12 or value > 1 + 1e-12:
-        raise ValueError(f"value out of range: {value}")
-    v = min(max(value, 0.0), 1.0)
-    lo, hi = 0.0, 1.0
+def _bisect(below, lo: float, hi: float) -> float:
+    """Midpoint of the bracket left by at most 200 halvings of [lo, hi],
+    keeping the upper half where ``below(mid)``.
+
+    Stops at the first halving that leaves (lo, hi) unchanged: every later
+    one would leave it unchanged too, so the result is that of all 200.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if eof(mid) < v:
-            lo = mid
-        else:
-            hi = mid
+        new = (mid, hi) if below(mid) else (lo, mid)
+        if new == (lo, hi):
+            break
+        lo, hi = new
     return 0.5 * (lo + hi)
+
+
+def _unit_value(value: float) -> float:
+    """``value`` clipped to [0, 1]; ValueError beyond 1e-12 outside it or for NaN."""
+    if not (-1e-12 <= value <= 1 + 1e-12):
+        raise ValueError(f"value out of range: {value}")
+    return min(max(value, 0.0), 1.0)
+
+
+def eof_inverse(value: float) -> float:
+    """Concurrence whose entanglement of formation equals ``value``."""
+    v = _unit_value(value)
+    return _bisect(lambda mid: eof(mid) < v, 0.0, 1.0)
 
 
 def binary_entropy_inverse_upper(value: float) -> float:
     """x in [1/2, 1] with h(x) = value."""
-    if value < -1e-12 or value > 1 + 1e-12:
-        raise ValueError(f"value out of range: {value}")
-    v = min(max(value, 0.0), 1.0)
-    lo, hi = 0.5, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) > v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    v = _unit_value(value)
+    return _bisect(lambda mid: binary_entropy(mid) > v, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,8 @@ class SchmidtSplit:
     The witness is a local unitary (acting on qubit 1 only) such that
     ``apply_local(input, witness)`` equals
     sqrt(p)|0>|psi0> + sqrt(1-p)|1>|psi1> exactly, with the eigenvector
-    phases fixed so that c0, c1 >= 0.
+    phases fixed so that c0, c1 >= 0.  ``noise_floor`` is
+    ``schmidt_noise_floor(p)``.
     """
 
     p: float
@@ -116,6 +122,7 @@ class SchmidtSplit:
     psi1: PureState
     witness: LocalUnitary
     degenerate: bool
+    noise_floor: float
 
     def normal_state(self) -> PureState:
         amps = np.concatenate(
@@ -134,7 +141,8 @@ class TauMatrix:
     ``c23`` = s1 - s2 and ``ca23`` = s1 + s2 are C_23 and C^a_23, and
     ``e_c23``, ``e_ca23`` their entanglements of formation: the ends of the
     interval the branch entanglement E1 lies in.  An overlap at or below
-    ``zero`` = max(``TOL_OVERLAP``, ``schmidt_noise_floor(p)``) counts as zero.
+    ``zero`` = max(``TOL_OVERLAP``, ``noise_floor``) counts as zero, where
+    ``noise_floor`` is ``schmidt_noise_floor(p)``, computed by the split.
     """
 
     c0: float
@@ -145,6 +153,7 @@ class TauMatrix:
     s2: float
     p: float
     degenerate: bool
+    noise_floor: float
     c23: float = field(init=False)
     ca23: float = field(init=False)
     e_c23: float = field(init=False)
@@ -162,7 +171,7 @@ class TauMatrix:
             ca23=ca23,
             e_c23=eof(c23),
             e_ca23=eof(ca23),
-            zero=max(TOL_OVERLAP, schmidt_noise_floor(self.p)),
+            zero=max(TOL_OVERLAP, self.noise_floor),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -275,7 +284,8 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
     # Self-overlaps below the eigenbasis noise floor carry no phase
     # information; the snapped degenerate basis is rebuilt cleanly, so only
     # the base threshold applies there.
-    zero_thr = 1e-12 if p == 0.5 else max(1e-12, schmidt_noise_floor(p))
+    noise_floor = schmidt_noise_floor(p)
+    zero_thr = 1e-12 if p == 0.5 else max(1e-12, noise_floor)
     c0 = _bilinear(psi0, psi0)
     c1 = _bilinear(psi1, psi1)
     psi0, _ = _phase_fix(psi0, c0, zero_thr)
@@ -292,6 +302,7 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
         psi1=PureState(2, psi1),
         witness=LocalUnitary((w1, np.eye(2, dtype=complex), np.eye(2, dtype=complex))),
         degenerate=degenerate,
+        noise_floor=noise_floor,
     )
 
 
@@ -317,6 +328,7 @@ def tau_matrix(split: SchmidtSplit) -> TauMatrix:
         s2=float(s[1]),
         p=p,
         degenerate=split.degenerate,
+        noise_floor=split.noise_floor,
     )
 
 

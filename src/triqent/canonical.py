@@ -231,25 +231,33 @@ def _moves(params):
     return (al, -be, ga, -bp), (al + HALF_PI, -be, ga + HALF_PI, bp), (-ga, -be, -al, -bp)
 
 
-def _orbit(params):
-    """(node, path) for every tuple the allowed moves reach, searched on angles
-    alone; ``path`` holds the ``_moves`` indices that first reached the node."""
-    start, _ = _normalize_node(params)
-    seen = {tuple(np.round(start, 10) + 0.0): (start, ())}
+def _key(node) -> tuple:
+    """Orbit key of a node: each angle rounded to 10 decimals, -0.0 made 0.0.
+
+    Plain-float spelling of ``np.round(node, 10) + 0.0``, bit for bit.
+    """
+    return tuple([round(x * 1e10) / 1e10 + 0.0 for x in node])
+
+
+def _orbit(start):
+    """(node, path) for every tuple the allowed moves reach from the normalised
+    node ``start``, searched on angles alone; ``path`` holds the ``_moves``
+    indices that first reached the node."""
+    seen = {_key(start): (start, ())}
     frontier = [(start, ())]
     while frontier:
         node, path = frontier.pop()
         for k, raw in enumerate(_moves(node)):
             cand, _ = _normalize_node(raw)
-            key = tuple(np.round(cand, 10) + 0.0)
+            key = _key(cand)
             if key not in seen:
                 seen[key] = (cand, path + (k,))
                 frontier.append(seen[key])
     return list(seen.values())
 
 
-def _canonical_node(raw_params) -> tuple[tuple, tuple]:
-    """Canonical representative of the parameter orbit plus the path reaching it.
+def _representative(orbit) -> tuple[tuple, tuple]:
+    """Canonical (node, path) of a searched orbit.
 
     Candidates are restricted to beta, beta' in [0, pi/2]; the unique
     representative is selected by |alpha| >= |gamma| and then by the largest
@@ -257,13 +265,18 @@ def _canonical_node(raw_params) -> tuple[tuple, tuple]:
     """
     candidates = [
         ((a, 0.0 if abs(b) < 1e-12 else b, g, 0.0 if abs(v) < 1e-12 else v), path)
-        for (a, b, g, v), path in _orbit(raw_params)
+        for (a, b, g, v), path in orbit
         if b >= -1e-12 and v >= -1e-12
     ]
     candidates = [c for c in candidates if abs(c[0][0]) >= abs(c[0][2]) - 1e-12]
     if not candidates:
         raise InternalCheckFailed("canonical orbit representative", 1, 0)
-    return max(candidates, key=lambda c: tuple(np.round(c[0], 10)))
+    return max(candidates, key=lambda c: _key(c[0]))
+
+
+def _canonical_node(raw_params) -> tuple[tuple, tuple]:
+    """Canonical representative of the parameter orbit plus the path reaching it."""
+    return _representative(_orbit(_normalize_node(raw_params)[0]))
 
 
 def _path_witness(raw, path) -> LocalUnitary:
@@ -282,6 +295,25 @@ def _path_witness(raw, path) -> LocalUnitary:
     return lu
 
 
+def canonical_representatives(raws) -> list[tuple]:
+    """Canonical (alpha, beta, gamma, beta') of each distinct orbit among ``raws``.
+
+    Representatives come in first-seen order.  Each orbit is searched once: a
+    raw tuple whose normalised start lies in an orbit already searched adds
+    nothing.
+    """
+    searched = set()
+    reps = []
+    for raw in raws:
+        start, _ = _normalize_node(tuple(float(x) for x in raw))
+        if _key(start) in searched:
+            continue
+        orbit = _orbit(start)
+        searched.update(_key(node) for node, _ in orbit)
+        reps.append(_representative(orbit)[0])
+    return reps
+
+
 def canonicalize_params(raw):
     """Canonical (alpha, beta, gamma, beta') reachable by local-unitary moves.
 
@@ -289,7 +321,7 @@ def canonicalize_params(raw):
     transformation group (the orientation-reversing swap that corresponds
     to complex conjugation is never applied).
     """
-    return _canonical_node(tuple(float(x) for x in raw))[0]
+    return canonical_representatives([raw])[0]
 
 
 def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:

@@ -13,6 +13,7 @@ four members and the 256 outcomes, then one (256, 4) comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +57,21 @@ class ControlledGate:
 
 @dataclass(frozen=True)
 class GenerationOutcome:
-    """One Bell-outcome combination of the two teleported gates."""
+    """One Bell-outcome combination of the two teleported gates.
+
+    ``final_amplitudes`` is the normalised (read-only) post state;
+    ``final_state`` builds and validates its ``PureState`` on first access.
+    """
 
     bell_results: tuple
     probability: float
-    final_state: PureState
+    final_amplitudes: np.ndarray
     s_psi_index: int
     matched_members: tuple
+
+    @cached_property
+    def final_state(self) -> PureState:
+        return PureState(3, self.final_amplitudes)
 
 
 def cj_state(gate: ControlledGate) -> PureState:
@@ -120,6 +129,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     if (probs < _PROB_FLOOR).any():
         raise ClosureViolation("vanishing probability inside the protocol")
     finals = finals / norm[:, None]
+    finals.flags.writeable = False
 
     members = np.array([m.amplitudes for m in s_psi_set(form).members])
     try:
@@ -139,7 +149,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
             GenerationOutcome(
                 bell_results=((k, l), (m, n)),
                 probability=float(probs[row]),
-                final_state=PureState(3, finals[row]),
+                final_amplitudes=finals[row],
                 s_psi_index=min(matches),
                 matched_members=matches,
             )

@@ -23,7 +23,7 @@ from .canonical import (
     TOL_MAXENT,
     _two_branch,
     branch_unitaries,
-    canonicalize_params,
+    canonical_representatives,
     form_from_params,
     reconstruct_state,
 )
@@ -321,8 +321,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
 
     seen = set()
     result = []
-    for raw in raw_candidates:
-        params = canonicalize_params(raw)
+    for params in canonical_representatives(raw_candidates):
         key = tuple(np.round(params, 8))
         if key in seen:
             continue

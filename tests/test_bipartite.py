@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqent import qcore
+from triqent import bipartite, qcore
 from triqent.bipartite import (
+    binary_entropy_inverse_upper,
     concurrence_pair_closed_form,
     eof,
     eof_inverse,
@@ -89,6 +90,48 @@ class TestEof:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             eof(1.1)
+
+    @pytest.mark.parametrize("fn", [eof, eof_inverse, binary_entropy_inverse_upper])
+    def test_nan_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.nan)
+
+    @pytest.mark.parametrize(
+        "inverse, name, below, lo, hi",
+        [
+            (eof_inverse, "eof", lambda f, v, mid: f(mid) < v, 0.0, 1.0),
+            (binary_entropy_inverse_upper, "binary_entropy", lambda f, v, mid: f(mid) > v, 0.5, 1.0),
+        ],
+        ids=["eof_inverse", "binary_entropy_inverse_upper"],
+    )
+    def test_bisection_stops_at_its_fixed_point(self, monkeypatch, inverse, name, below, lo, hi):
+        # Oracle: the same bisection run for all 200 halvings.
+        f = getattr(bipartite, name)
+
+        def reference(v):
+            a, b = lo, hi
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if below(f, v, mid):
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        grid = np.linspace(0, 1, 101)
+        expected = [reference(v) for v in grid]
+        steps = []
+
+        def counted(x):
+            steps[-1] += 1
+            return f(x)
+
+        monkeypatch.setattr(bipartite, name, counted)
+        for v, want in zip(grid, expected):
+            steps.append(0)
+            assert inverse(v) == want
+        # Only close to v = 0 does eof_inverse halve into the subnormals.
+        assert max(steps[1:]) <= 64
 
     @given(st.floats(0, 1))
     @settings(max_examples=40, deadline=None)

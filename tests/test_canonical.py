@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triqent import canonical, qcore
-from triqent.bipartite import TauMatrix, _bilinear, eof, schmidt_split, tau_matrix
+from triqent.bipartite import (
+    TauMatrix,
+    _bilinear,
+    eof,
+    schmidt_noise_floor,
+    schmidt_split,
+    tau_matrix,
+)
 from triqent.canonical import (
     OmegaCase,
     _branch_states,
     _canonical_node,
+    _key,
     _orbit,
     _path_witness,
     branch_unitaries,
@@ -37,7 +45,7 @@ def make_tau(p, c0, c1, ctilde):
     )
     s = np.linalg.svd(tau, compute_uv=False)
     return TauMatrix(c0=c0, c1=c1, ctilde=ctilde, tau=tau, s1=s[0], s2=s[1], p=p,
-                     degenerate=abs(p - 0.5) < 1e-9)
+                     degenerate=abs(p - 0.5) < 1e-9, noise_floor=schmidt_noise_floor(p))
 
 
 def branch_concurrence(split, omega):
@@ -261,6 +269,23 @@ class TestCanonicalizeParams:
         s_out = reconstruct_state(form_from_params(0.8, *out))
         equal, _ = lu_equivalent(s_raw, s_out)
         assert equal
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-4, 4),
+                st.sampled_from([0.0, -0.0, 5e-11, -5e-11, 1.5e-10, -2.5e-10]),
+                st.builds(lambda k, sign: sign * (k + 0.5) / 1e10,
+                          st.integers(0, 4 * 10**10), st.sampled_from([1, -1])),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_key_is_numpy_rounding(self, node):
+        # Oracle: the NumPy spelling of the key, compared bit for bit.
+        assert np.array(_key(node)).tobytes() == (np.round(node, 10) + 0.0).tobytes()
 
     def test_orbit_builds_no_witness(self, monkeypatch):
         # Only decompose_split needs a witness; the orbit search itself runs

@@ -198,10 +198,13 @@ class TestAnalyze:
             )
         }
         eof_calls = count_calls(monkeypatch, bipartite.eof)
+        floor_calls = count_calls(monkeypatch, bipartite.schmidt_noise_floor)
         analyze_state(qcore.genuine_haar_state(3))
         assert {name: len(calls) for name, calls in stages.items()} == dict.fromkeys(stages, 1)
         # E(C23), E(Ca23) and E1, each once.
         assert len(eof_calls) == 3
+        # The split's noise floor serves the tau matrix too.
+        assert len(floor_calls) == 1
 
 
 class TestSubcommands:

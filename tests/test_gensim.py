@@ -119,6 +119,24 @@ class TestEnumeration:
         assert rows == [4 + 256]
         assert len(outcomes) == 256
 
+    def test_builds_no_state_per_outcome(self, monkeypatch):
+        form = canonical_decomposition(genuine_haar(124))
+        built = []
+        post_init = PureState.__post_init__
+
+        def counted(state):
+            built.append(1)
+            post_init(state)
+
+        monkeypatch.setattr(PureState, "__post_init__", counted)
+        outcomes = enumerate_generation(form)
+        assert len(built) <= 8
+        before = len(built)
+        state = outcomes[5].final_state
+        assert state is outcomes[5].final_state and len(built) == before + 1
+        assert np.array_equal(state.amplitudes, outcomes[5].final_amplitudes)
+        assert not outcomes[5].final_amplitudes.flags.writeable
+
     def test_ghz_all_outcomes_equivalent(self, ghz):
         outcomes = enumerate_generation(canonical_decomposition(ghz))
         assert len(outcomes) == 256

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triqent import measures, qcore
+from triqent import canonical, measures, qcore
 from triqent.bipartite import binary_entropy, eof
 from triqent.canonical import (
     branch_unitaries,
     canonical_decomposition,
+    canonical_representatives,
     canonicalize_params,
     form_from_params,
     reconstruct_state,
@@ -306,6 +307,36 @@ class TestInversion:
         cands = invert_measures(measure_set(canonical_decomposition(state)))
         assert all(cand.beta == beta for cand in cands)
         assert any(lu_equivalent(reconstruct_state(cand), state)[0] for cand in cands)
+
+    def test_searches_each_orbit_once(self, monkeypatch):
+        searches, batches = [], []
+
+        def counted_orbit(start):
+            searches.append(start)
+            return orbit(start)
+
+        def recorded(raws):
+            batches.append(list(raws))
+            return canonical_representatives(batches[-1])
+
+        orbit = canonical._orbit
+        monkeypatch.setattr(canonical, "_orbit", counted_orbit)
+        monkeypatch.setattr(measures, "canonical_representatives", recorded)
+        cands = invert_measures(measure_set(GENERIC_FORM))
+        (raws,) = batches
+        assert len(raws) == 16 and len(searches) <= 4
+
+        def dedup(params):
+            first = {}
+            for p in params:
+                first.setdefault(tuple(np.round(p, 8)), p)
+            return list(first.values())
+
+        # Oracle: each raw tuple canonicalised on its own, deduplicated as
+        # invert_measures does (first seen wins).
+        separate = dedup(canonicalize_params(raw) for raw in raws)
+        assert dedup(canonical_representatives(raws)) == separate
+        assert cands and all(c.params in separate for c in cands)
 
     def test_corrupted_measures_detected(self):
         m = measure_set(GENERIC_FORM)
