@@ -214,8 +214,8 @@ def _normalize_node(params):
         y = _normalize_half_open(x)
         shift = round((x - y) / np.pi)
         flips += abs(int(shift))
-        # Snap to the gauge boundaries well above the dedup resolution so a
-        # tiny angle and its sign flip cannot collide as distinct orbit nodes.
+        # Snap angles within 1e-9 of a gauge boundary onto it, so a tiny angle
+        # and its sign flip give one node and beta near an edge takes the fold.
         if abs(y) < 1e-9:
             y = 0.0
         elif abs(y - HALF_PI) < 1e-9:
@@ -239,25 +239,22 @@ def _key(node) -> tuple:
     return tuple([round(x * 1e10) / 1e10 + 0.0 for x in node])
 
 
+# The eight move words that reach every node of an orbit, as ``_moves``
+# indices applied left to right; each word extends one listed before it.
+_WORDS = ((), (0,), (1,), (2,), (2, 0), (2, 1), (2, 1, 0), (2, 1, 0, 2))
+
+
 def _orbit(start):
-    """(node, path) for every tuple the allowed moves reach from the normalised
-    node ``start``, searched on angles alone; ``path`` holds the ``_moves``
-    indices that first reached the node."""
-    seen = {_key(start): (start, ())}
-    frontier = [(start, ())]
-    while frontier:
-        node, path = frontier.pop()
-        for k, raw in enumerate(_moves(node)):
-            cand, _ = _normalize_node(raw)
-            key = _key(cand)
-            if key not in seen:
-                seen[key] = (cand, path + (k,))
-                frontier.append(seen[key])
-    return list(seen.values())
+    """(node, word) for each of the ``_WORDS`` replayed from the normalised node
+    ``start``, on angles alone; nodes may repeat at a gauge edge."""
+    nodes = {(): start}
+    for word in _WORDS[1:]:
+        nodes[word], _ = _normalize_node(_moves(nodes[word[:-1]])[word[-1]])
+    return [(node, word) for word, node in nodes.items()]
 
 
 def _representative(orbit) -> tuple[tuple, tuple]:
-    """Canonical (node, path) of a searched orbit.
+    """Canonical (node, path) of a replayed orbit.
 
     Candidates are restricted to beta, beta' in [0, pi/2]; the unique
     representative is selected by |alpha| >= |gamma| and then by the largest
@@ -279,37 +276,45 @@ def _canonical_node(raw_params) -> tuple[tuple, tuple]:
     return _representative(_orbit(_normalize_node(raw_params)[0]))
 
 
-def _path_witness(raw, path) -> LocalUnitary:
-    """Local unitary from the state of ``raw`` to that of the node ``path`` reaches:
-    each move's unitary, then a qubit-1 sign flip after every odd normalisation."""
-    flip = LocalUnitary((PAULI_Z, PAULI_I, PAULI_I))
+def _path_witness(raw, path) -> list:
+    """Three 2x2 factors taking the state of ``raw`` to that of the node ``path``
+    reaches: each move's unitary, then a qubit-1 sign flip after every odd
+    normalisation."""
+    flip = (PAULI_Z, PAULI_I, PAULI_I)
     node, parity = _normalize_node(raw)
-    lu = LocalUnitary.identity(3).then(flip) if parity else LocalUnitary.identity(3)
+    fs = [np.eye(2, dtype=complex) for _ in range(3)]
+    if parity:
+        fs = _left_multiply(flip, fs)
     for k in path:
         u2, u3 = branch_unitaries(*node)
-        move = ((PAULI_I, PAULI_Z, PAULI_Z), flip.factors, (PAULI_X, u2.conj().T, u3.conj().T))
-        lu = lu.then(LocalUnitary(move[k]))
+        move = ((PAULI_I, PAULI_Z, PAULI_Z), flip, (PAULI_X, u2.conj().T, u3.conj().T))
+        fs = _left_multiply(move[k], fs)
         node, parity = _normalize_node(_moves(node)[k])
         if parity:
-            lu = lu.then(flip)
-    return lu
+            fs = _left_multiply(flip, fs)
+    return fs
+
+
+def _left_multiply(step, fs) -> list:
+    """Per-qubit factors of ``fs`` followed by ``step``."""
+    return [v @ u for u, v in zip(fs, step)]
 
 
 def canonical_representatives(raws) -> list[tuple]:
     """Canonical (alpha, beta, gamma, beta') of each distinct orbit among ``raws``.
 
-    Representatives come in first-seen order.  Each orbit is searched once: a
-    raw tuple whose normalised start lies in an orbit already searched adds
+    Representatives come in first-seen order.  Each orbit is replayed once: a
+    raw tuple whose normalised start lies in an orbit already replayed adds
     nothing.
     """
-    searched = set()
+    replayed = set()
     reps = []
     for raw in raws:
         start, _ = _normalize_node(tuple(float(x) for x in raw))
-        if _key(start) in searched:
+        if _key(start) in replayed:
             continue
         orbit = _orbit(start)
-        searched.update(_key(node) for node, _ in orbit)
+        replayed.update(_key(node) for node, _ in orbit)
         reps.append(_representative(orbit)[0])
     return reps
 
@@ -378,17 +383,17 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix) -> CanonicalForm:
     branch_gap = abs(abs(_bilinear(x0, x0)) - abs(_bilinear(x1, x1)))
     check("branch concurrence cross-check", branch_gap, _TOL_BRANCH)
 
-    witness = split.witness
+    fs = split.witness.factors
     u_omega = np.array(
         [[1, np.exp(1j * omega)], [-np.exp(-1j * omega), 1]], dtype=complex
     ) / np.sqrt(2)
-    witness = witness.then(LocalUnitary((u_omega, PAULI_I, PAULI_I)))
+    fs = _left_multiply((u_omega, PAULI_I, PAULI_I), fs)
 
     m0 = x0.reshape(2, 2)
     p0, sv, q0h = np.linalg.svd(m0)
     a, b = float(sv[0]), float(sv[1])
     l2, l3 = p0.conj().T, q0h.conj()
-    witness = witness.then(LocalUnitary((PAULI_I, l2, l3)))
+    fs = _left_multiply((PAULI_I, l2, l3), fs)
     m1 = l2 @ x1.reshape(2, 2) @ l3.T
 
     max_entangled = (a - b) <= TOL_MAXENT
@@ -398,11 +403,9 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix) -> CanonicalForm:
         h_raw = m1 @ np.diag([1 / a, 1 / b])
         hu, _, hvh = np.linalg.svd(h_raw)
         h_su2, root = _to_su2(hu @ hvh)
-        witness = witness.then(
-            LocalUnitary((np.diag([1, root.conjugate()]), PAULI_I, PAULI_I))
-        )
+        fs = _left_multiply((np.diag([1, root.conjugate()]), PAULI_I, PAULI_I), fs)
         theta, s = _diagonalize_su2(h_su2)
-        witness = witness.then(LocalUnitary((PAULI_I, s.conj().T, s.T)))
+        fs = _left_multiply((PAULI_I, s.conj().T, s.T), fs)
         raw = (theta, 0.0, 0.0, 0.0)
         a = max(a, 1 / np.sqrt(2))
     else:
@@ -412,19 +415,17 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix) -> CanonicalForm:
         g2su, r2 = _to_su2(g2)
         g3su, r3 = _to_su2(g3)
         g_phase = r2 * r3
-        witness = witness.then(
-            LocalUnitary((np.diag([1, g_phase.conjugate()]), PAULI_I, PAULI_I))
-        )
+        fs = _left_multiply((np.diag([1, g_phase.conjugate()]), PAULI_I, PAULI_I), fs)
         # Strip the leading Z of the qubit-3 factor through the Schmidt frame
         # and pass its trailing Z through psi_s onto qubit 2.
         a3, b3, c3 = euler_zyz(g3su)
-        witness = witness.then(LocalUnitary((PAULI_I, zrot(a3), zrot(-a3))))
+        fs = _left_multiply((PAULI_I, zrot(a3), zrot(-a3)), fs)
         u2_pre = zrot(a3) @ g2su @ zrot(c3)
         alpha, beta, gamma = euler_zyz(u2_pre)
         raw = (alpha, beta, gamma, b3)
 
     (alpha, beta, gamma, beta_prime), path = _canonical_node(raw)
-    witness = witness.then(_path_witness(raw, path))
+    fs = _left_multiply(_path_witness(raw, path), fs)
 
     form = CanonicalForm(
         a=min(a, 1.0),
@@ -433,7 +434,7 @@ def decompose_split(split: SchmidtSplit, tm: TauMatrix) -> CanonicalForm:
         gamma=gamma,
         beta_prime=beta_prime,
         omega=omega,
-        witness=witness,
+        witness=LocalUnitary(tuple(fs)),
         max_entangled_convention=bool(max_entangled),
         omega_case=case,
     )

@@ -296,7 +296,7 @@ def acin_standard_form(state: PureState) -> AcinForm:
 
 def _acin_form(forms: StandardForms) -> AcinForm:
     """The ``AcinForm`` of a batch of one, with the witness of its chosen root."""
-    witness = LocalUnitary(tuple(forms.rotation[0])).then(LocalUnitary(tuple(forms.phases[0])))
+    witness = LocalUnitary(tuple(ph @ rot for rot, ph in zip(forms.rotation[0], forms.phases[0])))
     return AcinForm(lambdas=tuple(forms.lambdas[0].tolist()), phi=forms.phi.item(0), witness=witness)
 
 

@@ -152,12 +152,6 @@ class LocalUnitary:
         fs[qubit - 1] = np.asarray(u, dtype=complex)
         return cls(tuple(fs))
 
-    def then(self, other: "LocalUnitary") -> "LocalUnitary":
-        """Composite applying ``self`` first, then ``other``."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        return LocalUnitary(tuple(v @ u for u, v in zip(self.factors, other.factors)))
-
     def conj(self) -> "LocalUnitary":
         return LocalUnitary(tuple(u.conj() for u in self.factors))
 

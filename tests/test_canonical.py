@@ -11,11 +11,13 @@ from triqent.bipartite import (
     schmidt_split,
     tau_matrix,
 )
+from triqent import cli
 from triqent.canonical import (
     OmegaCase,
     _branch_states,
     _canonical_node,
     _key,
+    _normalize_node,
     _orbit,
     _path_witness,
     branch_unitaries,
@@ -28,7 +30,14 @@ from triqent.canonical import (
     yrot,
     zrot,
 )
-from triqent.qcore import BiseparableInput, InternalCheckFailed, PureState, apply_local, basis_state
+from triqent.qcore import (
+    BiseparableInput,
+    InternalCheckFailed,
+    LocalUnitary,
+    PureState,
+    apply_local,
+    basis_state,
+)
 
 from conftest import genuine_haar
 
@@ -46,6 +55,14 @@ def make_tau(p, c0, c1, ctilde):
     s = np.linalg.svd(tau, compute_uv=False)
     return TauMatrix(c0=c0, c1=c1, ctilde=ctilde, tau=tau, s1=s[0], s2=s[1], p=p,
                      degenerate=abs(p - 0.5) < 1e-9, noise_floor=schmidt_noise_floor(p))
+
+
+_GAUGE_EDGE_TUPLES = [
+    (al, be, ga, bp)
+    for al, ga in ((0.3, -1.1), (2.9, -2.4), (-3.1, 1.6))
+    for be in (0.0, HALF_PI, -HALF_PI)
+    for bp in (0.0, HALF_PI)
+] + [(HALF_PI, 0.0, 0.0, 0.0)]
 
 
 def branch_concurrence(split, omega):
@@ -164,6 +181,35 @@ class TestCanonicalDecomposition:
         assert abs(f_max.concurrence_s() - tm.ca23) < 1e-9
         assert abs(branch_concurrence(split, np.pi / 2) - tm.c23) < 1e-9
 
+    @pytest.mark.parametrize("name", ["haar", "ghz", "w"])
+    def test_builds_the_witness_once(self, monkeypatch, name):
+        # One LocalUnitary for the split's qubit-1 rotation and one for the
+        # composed witness; every step in between multiplies plain factors.
+        state = {"haar": genuine_haar(3), "ghz": qcore.ghz_state(), "w": qcore.w_state()}[name]
+        built = []
+        post_init = LocalUnitary.__post_init__
+
+        def counted(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(LocalUnitary, "__post_init__", counted)
+        form = canonical_decomposition(state)
+        assert len(built) == 2
+        assert apply_local(state, form.witness).isclose(reconstruct_state(form), atol=1e-9, up_to_phase=True)
+
+    def test_class4_with_tiny_noise(self):
+        # Record 18 of 40 class-4 states (rng 0) plus 1e-12 complex noise: the
+        # decomposition lands on raw angles with |alpha| = |gamma| to 2e-11.
+        rng = np.random.default_rng(0)
+        for _ in range(19):
+            z = cli._class_state("class4", rng).amplitudes
+            z = z + 1e-12 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        state = PureState(3, z / np.linalg.norm(z))
+        form = canonical_decomposition(state)
+        assert abs(abs(form.alpha) - abs(form.gamma)) < 1e-10
+        assert apply_local(state, form.witness).isclose(reconstruct_state(form), atol=1e-9, up_to_phase=True)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_witness_and_interval(self, seed):
@@ -222,18 +268,29 @@ class TestCanonicalizeParams:
         out = canonicalize_params((0.2, 0.3, 0.4, 0.1))
         assert np.allclose(out, (-0.4, 0.3, -0.2, 0.1), atol=1e-12)
 
-    def test_orbit_matches_independent_search(self):
-        # Oracle: regenerate the orbit with an independent implementation of
-        # the three moves and compare as sets.
+    @given(st.one_of(st.tuples(*[st.floats(-3.2, 3.2)] * 4), st.sampled_from(_GAUGE_EDGE_TUPLES)))
+    @settings(max_examples=100, deadline=None)
+    def test_orbit_matches_independent_search(self, start):
+        # Oracle: regenerate the orbit by a breadth-first search with an
+        # independent implementation of the three moves and of the gauge
+        # fold, and compare as sets with the eight replayed words.
         def norm_half(x):
             y = (x + HALF_PI) % np.pi - HALF_PI
-            return y + np.pi if y <= -HALF_PI + 1e-12 else y
+            y = y + np.pi if y <= -HALF_PI + 1e-12 else y
+            return 0.0 if abs(y) < 1e-9 else HALF_PI if abs(y - HALF_PI) < 1e-9 else y
 
         def normalize(t):
-            return tuple(round(norm_half(v), 9) for v in t)
+            al, be, ga, bp = (norm_half(v) for v in t)
+            if be == 0.0:
+                al, ga = norm_half(al + ga), 0.0
+            elif be == HALF_PI:
+                al, ga = norm_half(al - ga), 0.0
+            return al, be, ga, bp
 
-        start = (0.2, 0.3, 0.4, 0.1)
-        seen = {normalize(start)}
+        def key(t):
+            return tuple(round(v, 9) + 0.0 for v in t)
+
+        seen = {key(normalize(start))}
         frontier = [normalize(start)]
         while frontier:
             al, be, ga, bp = frontier.pop()
@@ -242,12 +299,20 @@ class TestCanonicalizeParams:
                 (al + HALF_PI, -be, ga + HALF_PI, bp),
                 (-ga, -be, -al, -bp),
             ):
-                key = normalize(nxt)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
-        got = {tuple(np.round(p, 9)) for p, _ in _orbit(start)}
-        assert got == seen
+                node = normalize(nxt)
+                if key(node) not in seen:
+                    seen.add(key(node))
+                    frontier.append(node)
+        orbit = _orbit(_normalize_node(start)[0])
+        assert [word for _, word in orbit] == list(canonical._WORDS)
+        assert {key(p) for p, _ in orbit} == seen
+
+    def test_alpha_next_to_minus_gamma(self):
+        # |alpha| and |gamma| agree to 1.6e-11: the swapped node is a distinct
+        # orbit node that passes the |alpha| >= |gamma| filter.
+        out = canonicalize_params((-1.3078365445531, 0.29384, 1.3078365445693, 1.43813))
+        assert np.allclose(out, (-1.3078365445693, 0.29384, 1.3078365445531, 1.43813), atol=1e-12)
+        assert canonicalize_params(out) == out
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)
@@ -288,11 +353,11 @@ class TestCanonicalizeParams:
         assert np.array(_key(node)).tobytes() == (np.round(node, 10) + 0.0).tobytes()
 
     def test_orbit_builds_no_witness(self, monkeypatch):
-        # Only decompose_split needs a witness; the orbit search itself runs
+        # Only decompose_split needs a witness; the orbit replay itself runs
         # on angles alone, generic or at a gauge edge with pi-shifted angles.
         class NoWitness:
             def __init__(self, *args):
-                raise AssertionError("orbit search built a LocalUnitary")
+                raise AssertionError("orbit replay built a LocalUnitary")
 
             identity = classmethod(__init__)
 
@@ -311,17 +376,9 @@ def _two_branch_state(a, raw) -> PureState:
 
 def _path_witness_misalignment(a, raw) -> float:
     params, path = _canonical_node(raw)
-    rot = apply_local(_two_branch_state(a, raw), _path_witness(raw, path))
+    rot = apply_local(_two_branch_state(a, raw), LocalUnitary(tuple(_path_witness(raw, path))))
     rec = reconstruct_state(form_from_params(a, *params))
     return 1 - abs(np.vdot(rot.amplitudes, rec.amplitudes))
-
-
-_GAUGE_EDGE_TUPLES = [
-    (al, be, ga, bp)
-    for al, ga in ((0.3, -1.1), (2.9, -2.4), (-3.1, 1.6))
-    for be in (0.0, HALF_PI, -HALF_PI)
-    for bp in (0.0, HALF_PI)
-] + [(HALF_PI, 0.0, 0.0, 0.0)]
 
 
 class TestPathWitness:
@@ -334,6 +391,22 @@ class TestPathWitness:
     @settings(max_examples=300, deadline=None)
     def test_every_path(self, al, be, ga, bp):
         assert _path_witness_misalignment(0.8, (al, be, ga, bp)) <= 1e-12
+
+    @given(
+        st.floats(-3.2, 3.2),
+        st.sampled_from([1, -1]),
+        st.sampled_from([1, 0, -1]),
+        st.integers(9, 14),
+        *[st.one_of(st.floats(-3.2, 3.2), st.sampled_from([0.0, HALF_PI, -HALF_PI]))] * 2,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_alpha_next_to_plus_minus_gamma(self, ga, sign, s, k, be, bp):
+        # alpha = +-gamma + s 10^-k: the swap move maps the node to one within
+        # 10^-k of it, at a generic angle or at a gauge edge.
+        raw = (sign * ga + s * 10.0**-k, be, ga, bp)
+        out = canonicalize_params(raw)
+        assert np.abs(np.subtract(canonicalize_params(out), out)).max() <= 1e-9
+        assert _path_witness_misalignment(0.8, raw) <= 1e-12
 
 
 def _wrap(raw):

@@ -123,7 +123,7 @@ class TestAcinStandardForm:
 
     def test_builds_the_witness_once(self, monkeypatch):
         # Both quadratic roots give a candidate; only the chosen one gets a
-        # witness: its rotation, its phases and their composite.
+        # witness, built once from its rotations and phases.
         built = []
         post_init = LocalUnitary.__post_init__
 
@@ -134,7 +134,7 @@ class TestAcinStandardForm:
         monkeypatch.setattr(LocalUnitary, "__post_init__", counted)
         state = genuine_haar(5)
         form = acin_standard_form(state)
-        assert len(built) == 3
+        assert len(built) == 1
         assert np.linalg.norm(apply_local(state, form.witness).amplitudes - form.amplitudes()) < 1e-9
 
 
