@@ -176,11 +176,18 @@ def _branch_states(split: SchmidtSplit, omega: float):
 
 
 def _normalize_half_open(x: float) -> float:
-    """Reduce an angle modulo pi into (-pi/2, pi/2]."""
+    """Reduce an angle modulo pi into (-pi/2, pi/2].
+
+    An angle within 1e-9 of the gauge boundary 0 or pi/2 is put on it, so a
+    tiny angle and its sign flip give one node and beta near an edge takes
+    the fold.
+    """
     y = (x + HALF_PI) % np.pi - HALF_PI
     if y <= -HALF_PI + 1e-12:
         y += np.pi
-    return float(y)
+    if abs(y) < 1e-9:
+        return 0.0
+    return HALF_PI if abs(y - HALF_PI) < 1e-9 else float(y)
 
 
 def _fold_gauge(params):
@@ -214,13 +221,7 @@ def _normalize_node(params):
         y = _normalize_half_open(x)
         shift = round((x - y) / np.pi)
         flips += abs(int(shift))
-        # Snap angles within 1e-9 of a gauge boundary onto it, so a tiny angle
-        # and its sign flip give one node and beta near an edge takes the fold.
-        if abs(y) < 1e-9:
-            y = 0.0
-        elif abs(y - HALF_PI) < 1e-9:
-            y = HALF_PI
-        out.append(float(y))
+        out.append(y)
     folded, fold_flips = _fold_gauge(tuple(out))
     return folded, (flips + fold_flips) % 2
 
@@ -347,14 +348,20 @@ def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:
     return theta, q
 
 
-def _two_branch(branch0: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> PureState:
-    """(|0>|branch0> + |1>(u2 x u3)|branch0>) / sqrt(2): every two-branch
-    state of the package is built here."""
-    return PureState(3, np.concatenate([branch0, np.kron(u2, u3) @ branch0]) / np.sqrt(2))
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2x2 matrices, bit for bit, without its generic setup."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
 
 
-def reconstruct_state(form: CanonicalForm) -> PureState:
-    """3-qubit state of the literal two-branch decomposition."""
+def _two_branch_rows(branches: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """(|0>|b> + |1> G|b>) / sqrt(2) for the (..., 4) branches b and their 4x4
+    gates G: every two-branch state of the package is built here."""
+    rotated = (gates @ branches[..., None])[..., 0]
+    return np.concatenate([branches, rotated], axis=-1) / np.sqrt(2)
+
+
+def _require_canonical_range(form: CanonicalForm) -> None:
+    """Raise ValueError naming the first parameter outside the canonical range."""
     a = form.a
     if not (1 / np.sqrt(2) - 1e-9 <= a <= 1 - 1e-12):
         raise ValueError(f"a = {a} outside [1/sqrt(2), 1 - 1e-12]")
@@ -366,8 +373,13 @@ def reconstruct_state(form: CanonicalForm) -> PureState:
     ):
         if not (lo - 1e-9 <= val <= hi + 1e-9):
             raise ValueError(f"{name} = {val} outside canonical range")
-    psi_s = np.array([a, 0, 0, form.b], dtype=complex)
-    return _two_branch(psi_s, *branch_unitaries(*form.params))
+
+
+def reconstruct_state(form: CanonicalForm) -> PureState:
+    """3-qubit state of the literal two-branch decomposition."""
+    _require_canonical_range(form)
+    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
+    return PureState(3, _two_branch_rows(psi_s, _kron(*branch_unitaries(*form.params))))
 
 
 def canonical_decomposition(state: PureState) -> CanonicalForm:

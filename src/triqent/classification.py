@@ -507,8 +507,9 @@ def realified_det_tau(analysis: StateAnalysis) -> float:
 
 
 def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:
-    """(equal, conjugate_pair) decided through the complete invariant set."""
-    equal, conj_pair = invariants_equivalent(*(j_invariants(acin_standard_form(s)) for s in (s1, s2)))
+    """(equal, conjugate_pair) from the invariants of one ``standard_forms`` call on both."""
+    inv = standard_forms(np.stack([s1.tensor(), s2.tensor()])).invariants
+    equal, conj_pair = invariants_equivalent(inv[0], inv[1])
     return bool(equal), bool(conj_pair)
 
 

@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import BELL_BASIS, PAULI_I, BiseparableInput, PureState, scalar_pow
-from .canonical import CanonicalForm, _two_branch, branch_unitaries
+from .qcore import BELL_BASIS, BiseparableInput, PureState, scalar_pow
+from .canonical import CanonicalForm, _two_branch_rows, branch_unitaries
 from .classification import invariants_equivalent, standard_forms
-from .measures import s_psi_set
+from .measures import _rows
 
 # Outcome probabilities below this count as vanishing.
 _PROB_FLOOR = 1e-14
@@ -121,7 +121,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     """
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
     psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
-    base = _two_branch(psi_s, PAULI_I, PAULI_I).tensor()
+    base = _two_branch_rows(psi_s, np.eye(4, dtype=complex)).reshape(2, 2, 2)
     finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3))
     finals = finals.reshape(256, 8)
     norm = np.sqrt(np.vecdot(finals.real, finals.real) + np.vecdot(finals.imag, finals.imag))
@@ -131,7 +131,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     finals = finals / norm[:, None]
     finals.flags.writeable = False
 
-    members = np.array([m.amplitudes for m in s_psi_set(form).members])
+    members = _rows(form, u2, u3)[:4]
     try:
         inv = standard_forms(np.concatenate([members, finals])).invariants
     except BiseparableInput as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, check, entropy, partial_trace
+from .qcore import BELL_BASIS, PAULI_I, PAULIS, PureState, check, density_spectra, entropies, normalized_rows
 from .bipartite import (
     binary_entropy,
     binary_entropy_inverse_upper,
@@ -21,11 +21,12 @@ from .bipartite import (
 from .canonical import (
     CanonicalForm,
     TOL_MAXENT,
-    _two_branch,
+    _kron,
+    _require_canonical_range,
+    _two_branch_rows,
     branch_unitaries,
     canonical_representatives,
     form_from_params,
-    reconstruct_state,
 )
 
 TOL_E6 = 1e-9
@@ -98,67 +99,74 @@ def _rank2_entropy(overlap_mag: float) -> float:
     return binary_entropy(0.5 * (1 + min(overlap_mag, 1.0)))
 
 
-def _cj_mixture(u: np.ndarray) -> np.ndarray:
-    rotated = np.kron(u, np.eye(2)) @ BELL_BASIS[0]
-    return 0.5 * (np.outer(BELL_BASIS[0], BELL_BASIS[0].conj()) + np.outer(rotated, rotated.conj()))
+# (sigma_n x 1): the branch of family member n is _FLIPS[n] psi_s, and E4's is psi_s.
+_FLIPS = np.array([np.kron(sigma, PAULI_I) for sigma in (*PAULIS, PAULI_I)])
+_BELL_OUTER = np.outer(BELL_BASIS[0], BELL_BASIS[0].conj())
 
 
-def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
-    """Implementation cost of the two controlled gates.
+def _rows(form: CanonicalForm, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
+    """The (6, 8) amplitudes of the states whose 1|23 entropies are measured,
+    after ``reconstruct_state``'s range check and with ``PureState``'s norm rule.
 
-    Entropy of the mixture of the Bell state with its gate-rotated image,
-    cross-checked against the closed trigonometric overlap.
+    Rows 0-3 are the ``s_psi_set`` members.  Row 4 is E4's forward gain state,
+    (|0>|psi_s> + |1>(U2 x 1)|psi_s>) / sqrt(2); row 5 E5's backward one, where
+    qubit 2 controls U2 on qubit 1 of |+>|psi_s>: a |+>|00> + b (U2|+>)|11>.
     """
-    u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    values = []
-    for u, ov_trig in (
-        (u2, np.cos(form.beta) * np.cos(form.alpha + form.gamma)),
-        (u3, np.cos(form.beta_prime)),
-    ):
-        ev = np.linalg.eigvalsh(_cj_mixture(u))
+    _require_canonical_range(form)
+    a, b = form.a, form.b
+    gates = np.array([_kron(u2, u3), _kron(u2, PAULI_I)])[[0, 0, 0, 0, 1]]
+    amps = np.zeros((6, 8), dtype=complex)
+    amps[:5] = _two_branch_rows(_FLIPS @ np.array([a, 0, 0, b], dtype=complex), gates)
+    amps[5, [0b000, 0b100]] += a * _PLUS
+    amps[5, [0b011, 0b111]] += b * (u2 @ _PLUS)
+    return normalized_rows(amps)
+
+
+def _measures(form: CanonicalForm) -> tuple[list, list]:
+    """(E2, E3) and the 1|23 entropies of the six ``_rows``, from one stacked reduction.
+
+    E2 and E3 are the entropies of the Choi-Jamiolkowski mixtures of the Bell
+    state with its images under U2 and U3, checked against their closed
+    trigonometric overlaps; E4 and E5 are checked through their reduced
+    purities, and E_{1|23} (row 0) against ``splitting_overlap_sq``."""
+    u2, u3 = branch_unitaries(*form.params)
+    m = _rows(form, u2, u3).reshape(6, 2, 4)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    entropies_1_23 = entropies(density_spectra(rho)).tolist()
+
+    a, b = form.a, form.b
+    al, be, ga, bp = form.params
+    # (u x 1)|phi+> has the amplitudes u_ij / sqrt(2).
+    rotated = np.stack([u2, u3]).reshape(2, 4) * BELL_BASIS[0][0]
+    mixtures = 0.5 * (_BELL_OUTER + rotated[:, :, None] * rotated.conj()[:, None, :])
+    gate_costs = []
+    for ev, ov_trig in zip(np.linalg.eigvalsh(mixtures), (np.cos(be) * np.cos(al + ga), np.cos(bp))):
         val = float(-(ev[ev > 1e-300] * np.log2(ev[ev > 1e-300])).sum())
         check("gate-cost cross-check", abs(val - _rank2_entropy(abs(ov_trig))), _TOL_XCHECK)
-        values.append(val)
-    return values[0], values[1]
+        gate_costs.append(val)
 
-
-def _gain_backward_state(a: float, b: float, u2: np.ndarray) -> PureState:
-    """Reversed control (qubit 2 controls U2 on qubit 1) applied to |+>|psi_s>."""
-    plus2 = u2 @ _PLUS
-    amps = np.zeros(8, dtype=complex)
-    # a |+>_1 |00>_23 + b (U2|+>)_1 |11>_23
-    for q1 in range(2):
-        amps[q1 * 4 + 0b00] += a * _PLUS[q1]
-        amps[q1 * 4 + 0b11] += b * plus2[q1]
-    return PureState(3, amps)
-
-
-def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
-    """Entanglement created across 1|23 by the first controlled gate.
-
-    e4 has qubit 1 as control, e5 has qubit 2 as control; both are computed
-    from the constructed state and cross-checked against the closed
-    trigonometric correspondence via the reduced-state purity.
-    """
-    a, b = form.a, form.b
-    al, be, ga = form.alpha, form.beta, form.gamma
-    u2, _ = branch_unitaries(al, be, ga, form.beta_prime)
-    psi_s = np.array([a, 0, 0, b], dtype=complex)
-    out = []
-    ov4_sq = np.cos(be) ** 2 * (
-        (a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2
-    )
+    ov4_sq = np.cos(be) ** 2 * ((a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2)
     pur5 = a**4 + b**4 + 2 * a**2 * b**2 * (
         np.cos(al + ga) ** 2 * np.cos(be) ** 2 + np.sin(al - ga) ** 2 * np.sin(be) ** 2
     )
-    for state, purity_expected in (
-        (_two_branch(psi_s, u2, PAULI_I), 0.5 * (1 + ov4_sq)),
-        (_gain_backward_state(a, b, u2), pur5),
-    ):
-        rho1 = partial_trace(state, {1})
-        check("gain cross-check", abs(rho1.purity() - purity_expected), _TOL_XCHECK)
-        out.append(entropy(rho1))
-    return out[0], out[1]
+    purities = np.trace(rho[4:] @ rho[4:], axis1=-2, axis2=-1).real
+    for purity, expected in zip(purities.tolist(), (0.5 * (1 + ov4_sq), pur5)):
+        check("gain cross-check", abs(purity - expected), _TOL_XCHECK)
+
+    splitting = _rank2_entropy(np.sqrt(max(splitting_overlap_sq(a, al, be, ga, bp), 0.0)))
+    check("splitting cross-check", abs(entropies_1_23[0] - splitting), _TOL_XCHECK)
+    return gate_costs, entropies_1_23
+
+
+def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
+    """Implementation cost of the two controlled gates (see ``_measures``)."""
+    return tuple(_measures(form)[0])
+
+
+def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
+    """1|23 entanglement the first gate creates, qubit 1 or 2 controlling (see ``_measures``)."""
+    return tuple(_measures(form)[1][4:])
 
 
 def s_psi_set(form: CanonicalForm) -> SPsiSet:
@@ -167,30 +175,13 @@ def s_psi_set(form: CanonicalForm) -> SPsiSet:
     Member n is the two-branch state of the branch (sigma_n x 1)|psi_s>; member 0
     is ``reconstruct_state(form)``, whose range check raises ValueError.
     """
-    u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
-    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
-    members = [reconstruct_state(form)]
-    members += [_two_branch(np.kron(sigma, PAULI_I) @ psi_s, u2, u3) for sigma in PAULIS[1:]]
-    return SPsiSet(tuple(members))
-
-
-def _family_entropies(form: CanonicalForm) -> list[float]:
-    """E_{1|23} of each ``s_psi_set`` member, in member order."""
-    return [entropy(partial_trace(m, {1})) for m in s_psi_set(form).members]
-
-
-def _checked_splitting(form: CanonicalForm, val: float) -> float:
-    """``val`` as E_{1|23} of ``form``'s state, after the trig cross-check."""
-    ov_sq = splitting_overlap_sq(
-        form.a, form.alpha, form.beta, form.gamma, form.beta_prime
-    )
-    check("splitting cross-check", abs(val - _rank2_entropy(np.sqrt(max(ov_sq, 0.0)))), _TOL_XCHECK)
-    return val
+    rows = _rows(form, *branch_unitaries(*form.params))
+    return SPsiSet(tuple(PureState(3, row) for row in rows[:4]))
 
 
 def splitting_entanglement(form: CanonicalForm) -> float:
     """E_{1|23} of the state itself, with trig cross-check."""
-    return _checked_splitting(form, entropy(partial_trace(reconstruct_state(form), {1})))
+    return _measures(form)[1][0]
 
 
 def splitting_overlap_sq(a, alpha, beta, gamma, beta_prime) -> float:
@@ -225,28 +216,24 @@ def e6(form: CanonicalForm) -> int:
     When the whole set is degenerate (the state and its partner are
     LU-equivalent) the convention is 0.
     """
-    return _e6_from(_family_entropies(form))
+    return _e6_from(_measures(form)[1][:4])
 
 
 def measure_set(form: CanonicalForm) -> MeasureSet:
-    """All measures of one canonical form.
+    """All measures of one canonical form, from one ``_measures`` pass.
 
-    The four generation-family states are built and their 1|23 entropies
-    taken once: E6 compares all four, and E_{1|23} is member 0's entropy,
-    cross-checked against ``splitting_overlap_sq``.  An out-of-range form
-    raises ValueError.
+    E6 compares the entropies of the four generation-family states, and
+    E_{1|23} is member 0's.  An out-of-range form raises ValueError.
     """
-    v2, v3 = e2_e3_imp(form)
-    v4, v5 = e4_e5_gain(form)
-    family = _family_entropies(form)
+    (v2, v3), entropies_1_23 = _measures(form)
     return MeasureSet(
         e1=form.e1,
         e2=v2,
         e3=v3,
-        e4=v4,
-        e5=v5,
-        e6=_e6_from(family),
-        e_1_23=_checked_splitting(form, family[0]),
+        e4=entropies_1_23[4],
+        e5=entropies_1_23[5],
+        e6=_e6_from(entropies_1_23[:4]),
+        e_1_23=entropies_1_23[0],
     )
 
 

@@ -55,6 +55,18 @@ def check(name: str, value: float, tol: float) -> None:
         raise InternalCheckFailed(name, value, tol)
 
 
+def normalized_rows(amps: np.ndarray) -> np.ndarray:
+    """``PureState``'s norm rule on the (..., d) amplitude rows ``amps``: a row
+    whose norm is off 1 by more than 1e-9 raises ValueError, and one off by
+    more than ``ATOL_NORM`` is divided by its norm."""
+    norm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    off = np.abs(norm - 1.0)
+    if (off > 1e-9).any():
+        raise ValueError(f"state not normalized: |norm - 1| = {off.max():.3e}")
+    rescale = (off > ATOL_NORM)[..., None]
+    return np.where(rescale, amps / norm[..., None], amps) if rescale.any() else amps
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of ``n_qubits`` qubits as a dense amplitude vector."""
@@ -68,11 +80,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.size}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        if abs(norm - 1.0) > ATOL_NORM:
-            amps = amps / norm
+        amps = normalized_rows(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -156,6 +164,19 @@ class LocalUnitary:
         return LocalUnitary(tuple(u.conj() for u in self.factors))
 
 
+def density_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending ``eigvalsh`` spectra of the (..., d, d) matrices ``m``, after
+    ``DensityOperator``'s validation of each (Hermitian, unit trace, PSD to 1e-10)."""
+    if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-10).any():
+        raise ValueError("matrix is not Hermitian")
+    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
+        raise ValueError("trace is not 1")
+    spectra = np.linalg.eigvalsh(m)
+    if (spectra[..., 0] < -1e-10).any():
+        raise ValueError("matrix has a significantly negative eigenvalue")
+    return spectra
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian unit-trace operator on a 2^k dimensional space.
@@ -172,13 +193,7 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix")
-        if np.linalg.norm(m - m.conj().T) > 1e-10:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError("trace is not 1")
-        spectrum = np.linalg.eigvalsh(m)
-        if spectrum.min() < -1e-10:
-            raise ValueError("matrix has a significantly negative eigenvalue")
+        spectrum = density_spectra(m)
         m.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -233,12 +248,17 @@ def partial_trace(state: PureState, keep) -> DensityOperator:
 
 def entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    ev = rho.spectrum
-    ev = np.where(ev < 0, np.where(ev >= -EIG_CLIP, 0.0, ev), ev)
-    if ev.min() < 0:
+    return float(entropies(rho.spectrum))
+
+
+def entropies(spectra: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of (..., d) spectra: eigenvalues in
+    [-EIG_CLIP, 0] count as 0 (0 log 0 = 0), and one below raises ValueError."""
+    ev = np.where(spectra < 0, np.where(spectra >= -EIG_CLIP, 0.0, spectra), spectra)
+    if (ev < 0).any():
         raise ValueError("eigenvalue below clipping tolerance")
-    pos = ev[ev > 0]
-    return float(-(pos * np.log2(pos)).sum())
+    pos = ev > 0
+    return -np.where(pos, ev * np.log2(np.where(pos, ev, 1.0)), 0.0).sum(axis=-1)
 
 
 def scalar_pow(x, n) -> np.ndarray:

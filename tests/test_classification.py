@@ -20,6 +20,7 @@ from triqent.classification import (
     realified_det_tau,
     standard_forms,
 )
+from triqent.measures import s_psi_set
 from triqent.qcore import (
     BiseparableInput,
     InternalCheckFailed,
@@ -372,6 +373,46 @@ class TestLuEquivalent:
 
     def test_conjugate_of_clu_is_equal(self):
         assert lu_equivalent(CLASS3_STATE, CLASS3_STATE.conj()) == (True, False)
+
+    @staticmethod
+    def _pairs(ghz):
+        pairs = []
+        for seed in range(6):
+            state = genuine_haar(seed)
+            pairs += [
+                (state, apply_local(state, qcore.random_local_unitary(3, seed + 40))),
+                (state, state.conj()),
+                (state, genuine_haar(seed + 100)),
+            ]
+        family = canonical_decomposition(genuine_haar(7))
+        pairs += [(ghz, CLASS3_STATE), (ghz, ghz.conj()), (CLASS3_STATE, CLASS3_STATE.conj())]
+        pairs += [(ghz, apply_local(ghz, qcore.random_local_unitary(3, 3)))]
+        members = s_psi_set(family).members
+        pairs += [(members[0], m) for m in members[1:]]
+        return pairs
+
+    def test_matches_separate_standard_forms(self, ghz):
+        # Oracle: each state's standard form and invariants on their own.
+        for s1, s2 in self._pairs(ghz):
+            inv1, inv2 = (j_invariants(acin_standard_form(s)) for s in (s1, s2))
+            expected = tuple(bool(v) for v in invariants_equivalent(inv1, inv2))
+            assert lu_equivalent(s1, s2) == expected
+
+    def test_one_standard_forms_call_and_no_witness(self, monkeypatch, ghz):
+        calls = []
+
+        def counted(tensors):
+            calls.append(np.shape(tensors))
+            return standard_forms(tensors)
+
+        def no_witness(self):
+            raise AssertionError("lu_equivalent built a LocalUnitary")
+
+        state = genuine_haar(21)
+        monkeypatch.setattr(classification, "standard_forms", counted)
+        monkeypatch.setattr(LocalUnitary, "__post_init__", no_witness)
+        assert lu_equivalent(state, ghz) == (False, False)
+        assert calls == [(2, 2, 2, 2)]
 
 
 class TestEq34Oracle:

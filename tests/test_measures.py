@@ -31,6 +31,69 @@ from triqent.qcore import InternalCheckFailed, apply_local
 from conftest import genuine_haar
 
 GENERIC_FORM = form_from_params(0.8, 0.3, 0.7, 0.2, 0.5)
+HALF_PI = np.pi / 2
+
+
+def _explicit_rows(form) -> list:
+    """Each state the measures of ``form`` are taken on, built on its own with
+    ``np.kron`` as one state at a time: the four family members, E4's forward
+    and E5's backward gain state."""
+    u2, u3 = branch_unitaries(*form.params)
+    psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
+
+    def two_branch(branch0, x, y):
+        return np.concatenate([branch0, np.kron(x, y) @ branch0]) / np.sqrt(2)
+
+    members = [two_branch(psi_s, u2, u3)]
+    members += [two_branch(np.kron(sigma, qcore.PAULI_I) @ psi_s, u2, u3) for sigma in qcore.PAULIS[1:]]
+    # Qubit 2 controls U2 on qubit 1, applied to |+>|psi_s>.
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    plus2 = u2 @ plus
+    backward = np.zeros(8, dtype=complex)
+    for q1 in range(2):
+        backward[q1 * 4 + 0b00] += form.a * plus[q1]
+        backward[q1 * 4 + 0b11] += form.b * plus2[q1]
+    rows = members + [two_branch(psi_s, u2, qcore.PAULI_I), backward]
+    return [qcore.PureState(3, row).amplitudes for row in rows]
+
+
+def _per_state_measures(form):
+    """(E2, E3) and the six 1|23 entropies, each state reduced and
+    diagonalised on its own."""
+    entropies = []
+    for amps in _explicit_rows(form):
+        m = amps.reshape(2, 4)
+        rho = m @ m.conj().T
+        ev = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        ev = np.where(ev < 0, np.where(ev >= -qcore.EIG_CLIP, 0.0, ev), ev)
+        pos = ev[ev > 0]
+        entropies.append(float(-(pos * np.log2(pos)).sum()))
+    bell = qcore.BELL_BASIS[0]
+    gate_costs = []
+    for u in branch_unitaries(*form.params):
+        rotated = np.kron(u, np.eye(2)) @ bell
+        ev = np.linalg.eigvalsh(0.5 * (np.outer(bell, bell.conj()) + np.outer(rotated, rotated.conj())))
+        gate_costs.append(float(-(ev[ev > 1e-300] * np.log2(ev[ev > 1e-300])).sum()))
+    return gate_costs, entropies
+
+
+def _per_state_measure_set(form) -> MeasureSet:
+    (e2, e3), ent = _per_state_measures(form)
+    family = ent[:4]
+    lo, hi = min(family), max(family)
+    e6_value = 0 if hi - lo <= measures.TOL_E6 or family[0] <= lo + measures.TOL_E6 else 1
+    return MeasureSet(form.e1, e2, e3, ent[4], ent[5], e6_value, ent[0])
+
+
+def _kernel_forms(kind, ghz, w):
+    if kind == "params":
+        return [GENERIC_FORM, form_from_params(0.9, -0.4, np.pi / 2, 0.1, 0.0),
+                form_from_params(1 / np.sqrt(2), 0.3, 0.0, 0.0, 0.2)]
+    if kind == "ghz":
+        return [canonical_decomposition(ghz)]
+    if kind == "w":
+        return [canonical_decomposition(w)]
+    return [canonical_decomposition(genuine_haar(seed)) for seed in range(5)]
 
 
 def _partner_form(form):
@@ -151,19 +214,30 @@ class TestFamilyDefinition:
         with pytest.raises(ValueError, match="beta"):
             s_psi_set(form_from_params(0.8, 0.3, -0.7, 0.2, 0.5))
 
-    def test_measure_set_takes_each_reduction_once(self, monkeypatch):
-        # E4, E5 and the four family members: E_1|23 is member 0's entropy.
-        calls = []
+    def test_measure_set_takes_each_reduction_once(self, monkeypatch, ghz):
+        # The four family members, E4 and E5 in one (6, 2, 2) eigvalsh, the two
+        # gate-cost mixtures in one (2, 4, 4); no state or reduction object.
+        forms = [GENERIC_FORM, canonical_decomposition(ghz)]
+        expected = [(measure_set(f), splitting_entanglement(f), e6(f)) for f in forms]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counted(state, keep):
-            calls.append(keep)
-            return qcore.partial_trace(state, keep)
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
 
-        monkeypatch.setattr(measures, "partial_trace", counted)
-        ms = measure_set(GENERIC_FORM)
-        assert len(calls) == 6
-        assert ms.e_1_23 == splitting_entanglement(GENERIC_FORM)
-        assert ms.e6 == e6(GENERIC_FORM)
+        def refused(*args):
+            raise AssertionError("measure_set built a per-state object")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(qcore.PureState, "__post_init__", refused)
+        monkeypatch.setattr(qcore.DensityOperator, "__post_init__", refused)
+        monkeypatch.setattr(qcore, "partial_trace", refused)
+        for form, (ms, e_1_23, e6_value) in zip(forms, expected):
+            shapes.clear()
+            assert measure_set(form) == ms
+            assert sorted(shapes) == [(2, 4, 4), (6, 2, 2)]
+            assert (ms.e_1_23, ms.e6) == (e_1_23, e6_value)
 
     def test_splitting_cross_check_still_raises(self, monkeypatch):
         monkeypatch.setattr(measures, "splitting_overlap_sq", lambda *args: 0.5)
@@ -182,11 +256,108 @@ class TestInternalChecks:
         err = exc.value
         assert (err.check, err.value, err.tol) == ("gate-cost cross-check", abs(e2 - trig), -1.0)
 
+    def test_checks_report_their_residuals_in_order(self, monkeypatch):
+        # Each residual recomputed from the explicitly built states and the
+        # closed trigonometric forms.
+        f = GENERIC_FORM
+        a, b, al, be, ga, bp = f.a, f.b, f.alpha, f.beta, f.gamma, f.beta_prime
+        (e2, e3), ent = _per_state_measures(f)
+        rows = _explicit_rows(f)
+        purity4, purity5 = (qcore.partial_trace(qcore.PureState(3, rows[k]), {1}).purity() for k in (4, 5))
+        ov4_sq = np.cos(be) ** 2 * ((a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2)
+        pur5 = a**4 + b**4 + 2 * a**2 * b**2 * (
+            np.cos(al + ga) ** 2 * np.cos(be) ** 2 + np.sin(al - ga) ** 2 * np.sin(be) ** 2
+        )
+
+        def h(ov):
+            return binary_entropy(0.5 * (1 + min(ov, 1.0)))
+
+        tol = measures._TOL_XCHECK
+        expected = [
+            ("gate-cost cross-check", abs(e2 - h(abs(np.cos(be) * np.cos(al + ga)))), tol),
+            ("gate-cost cross-check", abs(e3 - h(abs(np.cos(bp)))), tol),
+            ("gain cross-check", abs(purity4 - 0.5 * (1 + ov4_sq)), tol),
+            ("gain cross-check", abs(purity5 - pur5), tol),
+            ("splitting cross-check",
+             abs(ent[0] - h(np.sqrt(max(splitting_overlap_sq(a, al, be, ga, bp), 0.0)))), tol),
+        ]
+        calls = []
+
+        def recorded(name, value, tol):
+            calls.append((name, value, tol))
+            qcore.check(name, value, tol)
+
+        monkeypatch.setattr(measures, "check", recorded)
+        measure_set(f)
+        assert calls == expected
+
+    def test_gain_check_reports_its_residual(self, monkeypatch):
+        f = GENERIC_FORM
+        forward = qcore.PureState(3, _explicit_rows(f)[4])
+        ov4_sq = np.cos(f.beta) ** 2 * (
+            (f.a**2 - f.b**2) ** 2 + 4 * f.a**2 * f.b**2 * np.cos(f.alpha + f.gamma) ** 2
+        )
+        residual = abs(qcore.partial_trace(forward, {1}).purity() - 0.5 * (1 + ov4_sq))
+
+        def strict_gain(name, value, tol):
+            qcore.check(name, value, -1.0 if name == "gain cross-check" else tol)
+
+        monkeypatch.setattr(measures, "check", strict_gain)
+        with pytest.raises(InternalCheckFailed) as exc:
+            measure_set(f)
+        err = exc.value
+        assert (err.check, err.value, err.tol) == ("gain cross-check", residual, -1.0)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((1.0, 0.3, 0.7, 0.2, 0.5), "a = 1.0 outside"),
+            ((0.8, 2.0, 0.7, 0.2, 0.5), "alpha = 2.0 outside canonical range"),
+            ((0.8, 0.3, -0.7, 0.2, 0.5), "beta = -0.7 outside canonical range"),
+        ],
+        ids=["a", "alpha", "beta"],
+    )
+    def test_out_of_range_raises_before_any_check(self, monkeypatch, params, message):
+        form = form_from_params(*params)
+        with pytest.raises(ValueError) as rejected:
+            reconstruct_state(form)
+        calls = []
+        monkeypatch.setattr(measures, "check", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message) as exc:
+            measure_set(form)
+        assert str(exc.value) == str(rejected.value)
+        assert calls == []
+
     def test_inversion_propagates_a_candidates_check(self, monkeypatch):
         ms = measure_set(GENERIC_FORM)
         monkeypatch.setattr(measures, "_TOL_XCHECK", -1.0)
         with pytest.raises(InternalCheckFailed, match="gate-cost cross-check"):
             invert_measures(ms)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", ["haar", "ghz", "w", "params"])
+    def test_rows_match_explicit_states(self, kind, ghz, w):
+        for form in _kernel_forms(kind, ghz, w):
+            rows = measures._rows(form, *branch_unitaries(*form.params))
+            assert rows.shape == (6, 8)
+            for row, explicit in zip(rows, _explicit_rows(form)):
+                assert row.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("kind", ["haar", "ghz", "w", "params"])
+    def test_measure_set_matches_per_state_formulation(self, kind, ghz, w):
+        for form in _kernel_forms(kind, ghz, w):
+            assert repr(measure_set(form)) == repr(_per_state_measure_set(form))
+
+    @given(
+        st.one_of(st.floats(1 / np.sqrt(2), 1 - 1e-9), st.just(1 / np.sqrt(2))),
+        *[st.one_of(st.floats(-HALF_PI, HALF_PI), st.sampled_from([0.0, HALF_PI, -HALF_PI]))] * 2,
+        *[st.one_of(st.floats(0.0, HALF_PI), st.sampled_from([0.0, HALF_PI]))] * 2,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_per_state_formulation_property(self, a, al, ga, be, bp):
+        form = form_from_params(a, al, be, ga, bp)
+        assert repr(measure_set(form)) == repr(_per_state_measure_set(form))
 
 
 class TestE6:
