@@ -4,17 +4,13 @@ protocol simulator."""
 
 from .qcore import (
     BiseparableInput,
-    DensityOperator,
     LocalUnitary,
     PureState,
     apply_local,
-    basis_state,
-    entropy,
     genuine_tripartite,
     ghz_state,
     haar_state,
     haar_unitary,
-    partial_trace,
     permute_qubits,
     real_state,
     w_state,
@@ -22,10 +18,8 @@ from .qcore import (
 from .bipartite import (
     SchmidtSplit,
     TauMatrix,
-    concurrence_pure,
     eof,
     schmidt_split,
-    spin_flip,
     tangle,
     tau_matrix,
 )
@@ -57,7 +51,6 @@ from .classification import (
     analyze,
     classify,
     det_tau_sign,
-    is_clu,
     j_invariants,
     lu_equivalent,
     standard_forms,

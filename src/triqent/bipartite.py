@@ -34,23 +34,8 @@ _YY = np.array(
 )
 
 
-def spin_flip(state: PureState) -> PureState:
-    """sigma_y x sigma_y applied to the complex conjugate of a 2-qubit state."""
-    if state.n_qubits != 2:
-        raise ValueError("spin_flip expects a 2-qubit state")
-    return PureState(2, _YY @ state.amplitudes.conj())
-
-
 def _bilinear(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(u @ _YY @ v)
-
-
-def concurrence_pure(state: PureState) -> float:
-    """Concurrence |<psi~|psi>| of a normalized 2-qubit pure state."""
-    if state.n_qubits != 2:
-        raise ValueError("concurrence_pure expects a 2-qubit state")
-    c = abs(_bilinear(state.amplitudes, state.amplitudes))
-    return float(min(c, 1.0))
 
 
 def binary_entropy(x: float) -> float:
@@ -123,15 +108,6 @@ class SchmidtSplit:
     witness: LocalUnitary
     degenerate: bool
     noise_floor: float
-
-    def normal_state(self) -> PureState:
-        amps = np.concatenate(
-            [
-                np.sqrt(self.p) * self.psi0.amplitudes,
-                np.sqrt(1 - self.p) * self.psi1.amplitudes,
-            ]
-        )
-        return PureState(3, amps)
 
 
 @dataclass(frozen=True)

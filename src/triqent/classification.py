@@ -66,10 +66,6 @@ class AcinForm:
     phi: float
     witness: LocalUnitary
 
-    @property
-    def lambda0(self) -> float:
-        return self.lambdas[0]
-
     def amplitudes(self) -> np.ndarray:
         l0, l1, l2, l3, l4 = self.lambdas
         amps = np.zeros(8, dtype=complex)
@@ -449,11 +445,6 @@ def analyze(state: PureState) -> StateAnalysis:
     )
 
 
-def is_clu(state: PureState) -> bool:
-    """Whether the state is LU-equivalent to its complex conjugate (see ``analyze``)."""
-    return analyze(state).clu
-
-
 def classify(state: PureState) -> ClassLabel:
     """CLU/NCLU verdict plus the CLU subclass (see ``analyze``)."""
     return analyze(state).label
@@ -514,17 +505,13 @@ def lu_equivalent(s1: PureState, s2: PureState) -> tuple[bool, bool]:
 
 
 def invariants_equivalent(inv1: InvariantSet, inv2: InvariantSet) -> tuple:
-    """(equal, conjugate_pair): the invariant sets match, or match up to conjugation.
+    """(equal, conjugate_pair): the invariant sets match, or, when they do not,
+    match up to conjugating J6.  A state and its conjugate set exactly one flag.
 
     Broadcasts over batches: two batches give boolean arrays of their
     broadcast shape.
     """
     reals_match = (np.abs(inv1.reals - inv2.reals) <= TOL_INV).all(axis=-1)
     equal = reals_match & (np.abs(inv1.j6 - inv2.j6) <= TOL_INV)
-    conj_pair = (
-        reals_match
-        & ~equal
-        & (np.abs(inv1.j6 - np.conj(inv2.j6)) <= TOL_INV)
-        & (np.abs(np.imag(inv1.j6)) > TOL_INV)
-    )
+    conj_pair = reals_match & ~equal & (np.abs(inv1.j6 - np.conj(inv2.j6)) <= TOL_INV)
     return equal, conj_pair

@@ -47,13 +47,6 @@ class ControlledGate:
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 matrix with the control as the more significant qubit."""
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = np.eye(2)
-        out[2:, 2:] = self.u
-        return out
-
 
 @dataclass(frozen=True)
 class GenerationOutcome:

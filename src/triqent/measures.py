@@ -78,22 +78,6 @@ class SPsiSet:
 
     members: tuple
 
-    @property
-    def psi(self) -> PureState:
-        return self.members[0]
-
-    @property
-    def psi_prime(self) -> PureState:
-        return self.members[3]
-
-    @property
-    def psi_conj(self) -> PureState:
-        return self.members[2]
-
-    @property
-    def psi_prime_conj(self) -> PureState:
-        return self.members[1]
-
 
 def _rank2_entropy(overlap_mag: float) -> float:
     return binary_entropy(0.5 * (1 + min(overlap_mag, 1.0)))
@@ -159,16 +143,6 @@ def _measures(form: CanonicalForm) -> tuple[list, list]:
     return gate_costs, entropies_1_23
 
 
-def e2_e3_imp(form: CanonicalForm) -> tuple[float, float]:
-    """Implementation cost of the two controlled gates (see ``_measures``)."""
-    return tuple(_measures(form)[0])
-
-
-def e4_e5_gain(form: CanonicalForm) -> tuple[float, float]:
-    """1|23 entanglement the first gate creates, qubit 1 or 2 controlling (see ``_measures``)."""
-    return tuple(_measures(form)[1][4:])
-
-
 def s_psi_set(form: CanonicalForm) -> SPsiSet:
     """The four generation-process states U_c13 U_c12 (sigma_n on qubit 2)|+>|psi_s>.
 
@@ -177,11 +151,6 @@ def s_psi_set(form: CanonicalForm) -> SPsiSet:
     """
     rows = _rows(form, *branch_unitaries(*form.params))
     return SPsiSet(tuple(PureState(3, row) for row in rows[:4]))
-
-
-def splitting_entanglement(form: CanonicalForm) -> float:
-    """E_{1|23} of the state itself, with trig cross-check."""
-    return _measures(form)[1][0]
 
 
 def splitting_overlap_sq(a, alpha, beta, gamma, beta_prime) -> float:
@@ -245,9 +214,12 @@ def _overlap_from_entropy(value: float) -> float:
 def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     """Canonical-form candidates reproducing an internally consistent measure set.
 
-    At most four candidates survive; when a = b within tolerance only e1, e2
-    and e5 are independent and the single degenerate candidate is returned
-    (recognizable by its max_entangled_convention flag).  Close to equal
+    The measures fix a state only up to local unitaries and complex
+    conjugation, so the candidates may hold both a source form and its
+    conjugate's.  At most four candidates survive; when a = b within
+    tolerance only e1, e2 and e5 are independent and the single degenerate
+    candidate is returned (recognizable by its max_entangled_convention
+    flag).  Close to equal
     Schmidt weights the split between the rotation angle of the controlled
     gate and its phases is identifiable only to O(a - b); the acceptance
     filter widens accordingly there.

@@ -7,7 +7,7 @@ ordered |000>, |001>, ..., |111> with qubit 1 leftmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,35 +84,13 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit (qubit 1 first)."""
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def conj(self) -> "PureState":
         """Complex conjugate in the computational basis."""
         return PureState(self.n_qubits, self.amplitudes.conj())
-
-    def isclose(self, other: "PureState", atol: float = 1e-10, up_to_phase: bool = False) -> bool:
-        if self.n_qubits != other.n_qubits:
-            return False
-        if up_to_phase:
-            ov = np.vdot(other.amplitudes, self.amplitudes)
-            phase = ov / abs(ov) if abs(ov) > 1e-14 else 1.0
-            return bool(np.allclose(self.amplitudes, phase * other.amplitudes, atol=atol))
-        return bool(np.allclose(self.amplitudes, other.amplitudes, atol=atol))
-
-
-def basis_state(n: int, index: int) -> PureState:
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return PureState(n, amps)
 
 
 def ghz_state() -> PureState:
@@ -153,20 +131,12 @@ class LocalUnitary:
     def identity(cls, n: int) -> "LocalUnitary":
         return cls(tuple(np.eye(2, dtype=complex) for _ in range(n)))
 
-    @classmethod
-    def single(cls, n: int, qubit: int, u) -> "LocalUnitary":
-        """Unitary ``u`` on ``qubit`` (1-based), identity elsewhere."""
-        fs = [np.eye(2, dtype=complex) for _ in range(n)]
-        fs[qubit - 1] = np.asarray(u, dtype=complex)
-        return cls(tuple(fs))
-
-    def conj(self) -> "LocalUnitary":
-        return LocalUnitary(tuple(u.conj() for u in self.factors))
-
 
 def density_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending ``eigvalsh`` spectra of the (..., d, d) matrices ``m``, after
-    ``DensityOperator``'s validation of each (Hermitian, unit trace, PSD to 1e-10)."""
+    """Ascending ``eigvalsh`` spectra of the (..., d, d) density matrices ``m``.
+
+    Raises ValueError unless every matrix is Hermitian and of unit trace to
+    1e-10 and has no eigenvalue below -1e-10."""
     if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-10).any():
         raise ValueError("matrix is not Hermitian")
     if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
@@ -175,36 +145,6 @@ def density_spectra(m: np.ndarray) -> np.ndarray:
     if (spectra[..., 0] < -1e-10).any():
         raise ValueError("matrix has a significantly negative eigenvalue")
     return spectra
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian unit-trace operator on a 2^k dimensional space.
-
-    ``spectrum`` holds the ascending ``eigvalsh`` eigenvalues the validation
-    computes, for ``eigenvalues`` and ``entropy`` to reuse.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrix")
-        spectrum = density_spectra(m)
-        m.flags.writeable = False
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", spectrum)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in descending order, clipped to [0, 1]."""
-        return np.clip(self.spectrum[::-1], 0.0, 1.0)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 def apply_local(state: PureState, lu: LocalUnitary) -> PureState:
@@ -226,29 +166,6 @@ def permute_qubits(state: PureState, order) -> PureState:
         raise ValueError("order must be a permutation of 1..n")
     t = state.tensor().transpose([q - 1 for q in order])
     return PureState(state.n_qubits, t.reshape(-1))
-
-
-def partial_trace(state: PureState, keep) -> DensityOperator:
-    """Reduced density operator on the kept qubits (1-based indices)."""
-    keep = sorted(set(keep))
-    n = state.n_qubits
-    if not keep:
-        raise ValueError("keep set is empty")
-    if any(q < 1 or q > n for q in keep):
-        raise ValueError("keep set out of range")
-    if len(keep) == n:
-        raise ValueError("keep set must be a strict subset of the qubits")
-    traced = [q for q in range(1, n + 1) if q not in keep]
-    perm = [q - 1 for q in keep] + [q - 1 for q in traced]
-    m = state.tensor().transpose(perm).reshape(2 ** len(keep), 2 ** len(traced))
-    rho = m @ m.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(2 ** len(keep), rho)
-
-
-def entropy(rho: DensityOperator) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    return float(entropies(rho.spectrum))
 
 
 def entropies(spectra: np.ndarray) -> np.ndarray:

@@ -9,15 +9,14 @@ from triqent.bipartite import (
     eof,
     eof_inverse,
     schmidt_split,
-    spin_flip,
     tangle,
     tau_matrix,
-    concurrence_pure,
+    _bilinear,
     _YY,
 )
-from triqent.qcore import BiseparableInput, PureState, apply_local, basis_state, haar_state
+from triqent.qcore import BiseparableInput, PureState, apply_local, haar_state
 
-from conftest import genuine_haar, random_acin_state
+from conftest import basis, genuine_haar, random_acin_state, reduced, states_close
 
 PHI_PLUS = PureState(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -28,43 +27,65 @@ def wootters_pair(state):
     Square roots of the eigenvalues of rho (YY rho* YY); their alternating
     sum is the concurrence, their plain sum the assisted concurrence.
     """
-    rho = qcore.partial_trace(state, {2, 3}).matrix
+    rho = reduced(state, {2, 3})
     rr = rho @ _YY @ rho.conj() @ _YY
     sq = np.sqrt(np.clip(np.sort(np.linalg.eigvals(rr).real)[::-1], 0, None))
     return max(0.0, sq[0] - sq[1:].sum()), sq.sum()
 
 
+def spin_flipped(amps) -> np.ndarray:
+    """|psi~> = (sigma_y x sigma_y)|psi*> of a 2-qubit amplitude vector."""
+    return np.kron(qcore.PAULI_Y, qcore.PAULI_Y) @ np.conj(amps)
+
+
 class TestSpinFlip:
+    # The package never builds |psi~>: it takes <u~|v> as the bilinear form
+    # u^T (sigma_y x sigma_y) v.
     def test_phi_plus_eigenstate(self):
-        assert np.allclose(spin_flip(PHI_PLUS).amplitudes, -PHI_PLUS.amplitudes, atol=1e-15)
+        phi = PHI_PLUS.amplitudes
+        assert np.allclose(spin_flipped(phi), -phi, atol=1e-15)
+        assert abs(_bilinear(phi, phi) + 1) < 1e-15
 
     def test_zero_zero(self):
-        out = spin_flip(basis_state(2, 0))
-        assert np.allclose(out.amplitudes, -basis_state(2, 3).amplitudes, atol=1e-15)
+        zero, three = basis(2, 0).amplitudes, basis(2, 3).amplitudes
+        assert np.array_equal(spin_flipped(zero), -three)
+        v = haar_state(2, 5).amplitudes
+        assert _bilinear(zero, v) == -v[3]
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_involution(self, seed):
-        psi = haar_state(2, seed)
-        assert spin_flip(spin_flip(psi)).isclose(psi, atol=1e-12)
+        u, v = haar_state(2, seed).amplitudes, haar_state(2, seed + 1).amplitudes
+        assert np.array_equal(_YY @ _YY, np.eye(4))
+        assert np.allclose(spin_flipped(spin_flipped(u)), u, atol=1e-15)
+        assert abs(_bilinear(u, v) - np.vdot(spin_flipped(u), v)) < 1e-15
+        assert abs(_bilinear(u, v) - _bilinear(v, u)) < 1e-15
 
-    def test_wrong_qubit_count(self, ghz):
-        with pytest.raises(ValueError):
-            spin_flip(ghz)
+
+def tau_of_branches(psi0, p=0.7):
+    """tau of sqrt(p)|0>|psi0> + sqrt(1 - p)|1>|psi1>, psi1 = (|01> + |10>)/sqrt(2)."""
+    psi1 = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+    amps = np.concatenate([np.sqrt(p) * psi0, np.sqrt(1 - p) * psi1])
+    return tau_matrix(schmidt_split(PureState(3, amps)))
 
 
 class TestConcurrencePure:
+    # The branch self-overlaps c0 and c1 of the tau matrix are the pure-state
+    # concurrences |<psi~|psi>| of the two Schmidt branches.
     def test_bell(self):
-        assert abs(concurrence_pure(PHI_PLUS) - 1) < 1e-12
+        tm = tau_of_branches(PHI_PLUS.amplitudes)
+        assert abs(tm.c0 - 1) < 1e-12 and abs(tm.c1 - 1) < 1e-12
 
     def test_product(self):
-        assert concurrence_pure(basis_state(2, 0)) == 0.0
+        tm = tau_of_branches(basis(2, 0).amplitudes)
+        assert tm.c0 < 1e-12 and abs(tm.c1 - 1) < 1e-12
 
     @pytest.mark.parametrize("a", [0.3, 0.6, 1 / np.sqrt(2), 0.95])
     def test_schmidt_pair(self, a):
         b = np.sqrt(1 - a * a)
-        psi = PureState(2, np.array([a, 0, 0, b], dtype=complex))
-        assert abs(concurrence_pure(psi) - 2 * a * b) < 1e-12
+        psi = np.array([a, 0, 0, b], dtype=complex)
+        assert abs(tau_of_branches(psi).c0 - 2 * a * b) < 1e-12
+        assert abs(abs(_bilinear(psi, psi)) - 2 * a * b) < 1e-15
 
 
 class TestEof:
@@ -162,8 +183,8 @@ class TestSchmidtSplit:
         assert not split.degenerate
         expected0 = np.zeros(4, dtype=complex)
         expected0[1] = expected0[2] = 1 / np.sqrt(2)
-        assert split.psi0.isclose(PureState(2, expected0), atol=1e-10, up_to_phase=True)
-        assert split.psi1.isclose(basis_state(2, 0), atol=1e-10, up_to_phase=True)
+        assert states_close(split.psi0, expected0, atol=1e-10, up_to_phase=True)
+        assert states_close(split.psi1, basis(2, 0), atol=1e-10, up_to_phase=True)
 
     def test_acin_state_p_equals_sigma_plus(self):
         # Oracle: the closed form (1 + sqrt(1 - 4(J2+J3+J4)))/2 from the
@@ -180,7 +201,7 @@ class TestSchmidtSplit:
 
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
-            schmidt_split(basis_state(3, 0))
+            schmidt_split(basis(3, 0))
 
     def test_product_in_23_unreachable(self):
         # The (C23, Ca23) = (0, 0) fixture a|0>|00> + b|1>|01> never reaches
@@ -197,13 +218,16 @@ class TestSchmidtSplit:
         state = genuine_haar(seed)
         split = schmidt_split(state)
         # C1: orthonormal eigenvectors
-        assert abs(split.psi0.overlap(split.psi1)) < 1e-10
+        assert abs(np.vdot(split.psi0.amplitudes, split.psi1.amplitudes)) < 1e-10
         # C2: nonnegative self-overlaps
         tm = tau_matrix(split)
         assert tm.c0 >= -1e-12 and tm.c1 >= -1e-12
         # witness reproduces the normal form exactly
         rotated = apply_local(state, split.witness)
-        assert np.linalg.norm(rotated.amplitudes - split.normal_state().amplitudes) < 1e-10
+        normal = np.concatenate(
+            [np.sqrt(split.p) * split.psi0.amplitudes, np.sqrt(1 - split.p) * split.psi1.amplitudes]
+        )
+        assert np.linalg.norm(rotated.amplitudes - normal) < 1e-10
 
 
 class TestTauMatrix:

@@ -36,10 +36,9 @@ from triqent.qcore import (
     LocalUnitary,
     PureState,
     apply_local,
-    basis_state,
 )
 
-from conftest import genuine_haar
+from conftest import basis, genuine_haar, states_close
 
 HALF_PI = np.pi / 2
 
@@ -144,7 +143,7 @@ class TestCanonicalDecomposition:
         assert form.beta == 0.0 and form.gamma == 0.0 and form.beta_prime == 0.0
         assert form.max_entangled_convention
         rec = reconstruct_state(form)
-        assert apply_local(ghz, form.witness).isclose(rec, atol=1e-9, up_to_phase=True)
+        assert states_close(apply_local(ghz, form.witness), rec, atol=1e-9, up_to_phase=True)
 
     def test_w_branch_entanglement(self, w):
         form = canonical_decomposition(w)
@@ -163,7 +162,7 @@ class TestCanonicalDecomposition:
 
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
-            canonical_decomposition(basis_state(3, 0))
+            canonical_decomposition(basis(3, 0))
 
     def test_omega_moves_between_extrema(self):
         # Case-iii state (both self-overlaps positive, cross overlap zero):
@@ -196,7 +195,7 @@ class TestCanonicalDecomposition:
         monkeypatch.setattr(LocalUnitary, "__post_init__", counted)
         form = canonical_decomposition(state)
         assert len(built) == 2
-        assert apply_local(state, form.witness).isclose(reconstruct_state(form), atol=1e-9, up_to_phase=True)
+        assert states_close(apply_local(state, form.witness), reconstruct_state(form), atol=1e-9, up_to_phase=True)
 
     def test_class4_with_tiny_noise(self):
         # Record 18 of 40 class-4 states (rng 0) plus 1e-12 complex noise: the
@@ -208,7 +207,7 @@ class TestCanonicalDecomposition:
         state = PureState(3, z / np.linalg.norm(z))
         form = canonical_decomposition(state)
         assert abs(abs(form.alpha) - abs(form.gamma)) < 1e-10
-        assert apply_local(state, form.witness).isclose(reconstruct_state(form), atol=1e-9, up_to_phase=True)
+        assert states_close(apply_local(state, form.witness), reconstruct_state(form), atol=1e-9, up_to_phase=True)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -216,7 +215,7 @@ class TestCanonicalDecomposition:
         state = genuine_haar(seed)
         form = canonical_decomposition(state)
         rec = reconstruct_state(form)
-        assert apply_local(state, form.witness).isclose(rec, atol=1e-9, up_to_phase=True)
+        assert states_close(apply_local(state, form.witness), rec, atol=1e-9, up_to_phase=True)
         assert 1 / np.sqrt(2) - 1e-12 <= form.a <= 1.0
         assert -HALF_PI - 1e-12 <= form.alpha <= HALF_PI + 1e-12
         assert 0 <= form.beta <= HALF_PI + 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from triqent import classification, qcore
+from triqent import classification, cli, qcore
 from triqent.bipartite import schmidt_split, tau_matrix, tangle
 from triqent.canonical import canonical_decomposition
 from triqent.classification import (
@@ -14,7 +14,6 @@ from triqent.classification import (
     classify,
     det_tau_sign,
     invariants_equivalent,
-    is_clu,
     j_invariants,
     lu_equivalent,
     realified_det_tau,
@@ -27,10 +26,9 @@ from triqent.qcore import (
     LocalUnitary,
     PureState,
     apply_local,
-    basis_state,
 )
 
-from conftest import genuine_haar, random_acin_state
+from conftest import basis, genuine_haar, random_acin_state
 
 
 def normalize(vec):
@@ -42,9 +40,9 @@ def plus_product():
     return v
 
 
-CLASS2_STATE = normalize(basis_state(3, 0).amplitudes + 0.7 * plus_product())
-CLASS3_STATE = normalize(basis_state(3, 0).amplitudes + np.exp(0.9j) * plus_product())
-CLASS4_STATE = normalize(basis_state(3, 0).amplitudes + plus_product())
+CLASS2_STATE = normalize(basis(3, 0).amplitudes + 0.7 * plus_product())
+CLASS3_STATE = normalize(basis(3, 0).amplitudes + np.exp(0.9j) * plus_product())
+CLASS4_STATE = normalize(basis(3, 0).amplitudes + plus_product())
 
 # A dressed form at beta = pi/2 whose two quadratic roots both give phi just
 # above pi (pi + 4.7e-12 and pi + 4.8e-12) in (-pi, pi] arithmetic.
@@ -57,6 +55,19 @@ PHI_PAST_PI_STATE = PureState(3, np.array([complex(re, im) for re, im in (
     (-0.25839195065395015, 0.3777442618288158),
     (-0.3765781283007855, -0.3334235476112885),
     (-0.17249229899891452, 0.0024238508488201448),
+)]))
+
+# Item 329 of perfbench's ``gen.invert_states(401)``: Im J6 = 9.03e-9, within
+# TOL_INV, while J6 and its conjugate differ by twice that, more than TOL_INV.
+IM_J6_9E_9_STATE = PureState(3, np.array([complex(re, im) for re, im in (
+    (-0.11510243003577564, 0.0010549241572796746),
+    (0.1400938180898818, -0.34145918524663393),
+    (-0.19554356541233, -0.48860775775280746),
+    (0.1388373949192703, 0.20880953633601904),
+    (-0.12638966495988388, 0.5106001856576533),
+    (-0.03137094266894119, 0.10765506916450931),
+    (-0.08449624241525697, -0.13550670627620243),
+    (-0.43600684324506706, -0.07624497575351949),
 )]))
 
 
@@ -93,7 +104,7 @@ class TestAcinStandardForm:
 
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
-            acin_standard_form(basis_state(3, 0))
+            acin_standard_form(basis(3, 0))
 
     def test_phi_just_past_pi_is_taken_into_range(self):
         form = acin_standard_form(PHI_PAST_PI_STATE)
@@ -171,7 +182,7 @@ class TestStandardFormsKernel:
 
     def test_biseparable_row_raises(self, ghz, w):
         states = self.batch(ghz, w)
-        states[2] = basis_state(3, 0)
+        states[2] = basis(3, 0)
         with pytest.raises(BiseparableInput, match="row 2"):
             standard_forms(np.array([s.tensor() for s in states]))
 
@@ -225,12 +236,12 @@ class TestIsClu:
             if not qcore.genuine_tripartite(state):
                 continue
             count += 1
-            assert is_clu(state)
+            assert analyze(state).clu
         assert count >= 100
 
     def test_fixtures(self, ghz, w):
-        assert is_clu(ghz)
-        assert is_clu(w)
+        assert analyze(ghz).clu
+        assert analyze(w).clu
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -338,7 +349,7 @@ class TestClassify:
 
     def test_biseparable_rejected(self):
         with pytest.raises(BiseparableInput):
-            classify(basis_state(3, 0))
+            classify(basis(3, 0))
 
 
 class TestInternalChecks:
@@ -373,6 +384,50 @@ class TestLuEquivalent:
 
     def test_conjugate_of_clu_is_equal(self):
         assert lu_equivalent(CLASS3_STATE, CLASS3_STATE.conj()) == (True, False)
+
+    def test_small_imaginary_j6_is_a_conjugate_pair(self):
+        state = IM_J6_9E_9_STATE
+        assert abs(j_invariants(acin_standard_form(state)).j6.imag - 9.03e-9) < 1e-11
+        assert lu_equivalent(state, state.conj()) == (False, True)
+
+    @staticmethod
+    def _near_clu_state(seed: int, exponent: float, near_pi: bool) -> PureState:
+        """A dressed standard form whose phi, next to 0 or pi, puts |Im J6| at 10^exponent."""
+        rng = np.random.default_rng(seed)
+        lams = rng.uniform(0.05, 1.0, 5)
+        lams /= np.linalg.norm(lams)
+        l0, l1, l2, l3, l4 = lams
+        # Im J6 = -4 l0^4 l4^2 l1 l2 l3 Re(z) sin(phi), with Re(z) at cos(phi) = +-1.
+        re_z = l4 * (1 - 2 * l0**2 - 2 * l1**2) + (-2 if near_pi else 2) * l1 * l2 * l3
+        sin_phi = 10.0**exponent / (4 * l0**4 * l4**2 * l1 * l2 * l3 * abs(re_z))
+        assume(sin_phi <= 1e-2)
+        phi = float(np.arcsin(sin_phi))
+        form = AcinForm(tuple(lams), np.pi - phi if near_pi else phi, LocalUnitary.identity(3))
+        assert abs(abs(j_invariants(form).j6.imag) / 10.0**exponent - 1) < 1e-2
+        state = form.state()
+        assume(qcore.genuine_tripartite(state))
+        return apply_local(state, qcore.random_local_unitary(3, seed + 1))
+
+    @given(
+        st.sampled_from(["haar", "class2", "class3", "class4", "near_clu"]),
+        st.integers(0, 10**6),
+        st.floats(-12.0, -7.0),
+        st.booleans(),
+    )
+    # |Im J6| between TOL_INV / 2 and TOL_INV: J6 and its conjugate differ by
+    # more than TOL_INV while Im J6 itself is within it.
+    @example("near_clu", 3, float(np.log10(7e-9)), False)
+    @example("near_clu", 4, float(np.log10(9e-9)), True)
+    @settings(max_examples=150, deadline=None)
+    def test_state_and_conjugate_set_exactly_one_flag(self, kind, seed, exponent, near_pi):
+        if kind == "haar":
+            state = genuine_haar(seed)
+        elif kind == "near_clu":
+            state = self._near_clu_state(seed, exponent, near_pi)
+        else:
+            state = cli._class_state(kind, np.random.default_rng(seed))
+        equal, conj_pair = lu_equivalent(state, state.conj())
+        assert equal != conj_pair
 
     @staticmethod
     def _pairs(ghz):
@@ -442,12 +497,12 @@ class TestEq34Oracle:
 
 class TestCrossCriterionAgreement:
     def test_all_clu_tests_agree_on_mixed_ensembles(self):
-        # is_clu raises if its four criteria ever disagree; exercising it on
+        # analyze raises if its four criteria ever disagree; exercising it on
         # both ensembles is the test.
         for seed in range(60):
             state = qcore.real_state(3, 700 + seed)
             if qcore.genuine_tripartite(state):
-                assert is_clu(state)
+                assert analyze(state).clu
         for seed in range(60):
             state = genuine_haar(46000 + seed)
-            assert not is_clu(state)
+            assert not analyze(state).clu

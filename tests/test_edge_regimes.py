@@ -7,9 +7,11 @@ import pytest
 
 from triqent import qcore
 from triqent.canonical import canonical_decomposition, form_from_params, reconstruct_state
-from triqent.classification import StateClass, classify, is_clu
+from triqent.classification import StateClass, analyze, classify
 from triqent.measures import invert_measures, measure_set
 from triqent.qcore import PureState, apply_local, random_local_unitary
+
+from conftest import states_close
 
 
 def weighted_ghz(p: float) -> PureState:
@@ -40,7 +42,7 @@ class TestNearDegenerateSplitting:
         form = canonical_decomposition(state)
         rec = reconstruct_state(form)
         rot = apply_local(state, form.witness)
-        assert rot.isclose(rec, atol=1e-8, up_to_phase=True)
+        assert states_close(rot, rec, atol=1e-8, up_to_phase=True)
         assert abs(measure_set(form).e1 - 1) < 1e-6
 
 
@@ -86,7 +88,7 @@ class TestManifoldShell:
             )
             if not qcore.genuine_tripartite(state):
                 continue
-            assert is_clu(state)
+            assert analyze(state).clu
 
 
 class TestFoldedGaugeFamilies:

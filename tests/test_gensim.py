@@ -13,9 +13,9 @@ from triqent.gensim import (
     member_aggregates,
 )
 from triqent.measures import s_psi_set
-from triqent.qcore import PureState, entropy, partial_trace
+from triqent.qcore import PureState, density_spectra, entropies
 
-from conftest import genuine_haar
+from conftest import genuine_haar, reduced
 
 def controlled_matrix(u, target):
     if target == 2:
@@ -30,12 +30,14 @@ def controlled_matrix(u, target):
 
 class TestControlledGate:
     def test_matrix_block_structure(self):
+        # The channel state is the block-diagonal gate matrix diag(1, U), acting
+        # on the ancillas (ca, ta), applied to |phi+>_(ca, cb) |phi+>_(ta, tb).
         u = qcore.haar_unitary(4)
-        gate = ControlledGate(1, 2, u)
-        m = gate.matrix()
-        assert np.allclose(m[:2, :2], np.eye(2))
-        assert np.allclose(m[2:, 2:], u)
-        assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
+        m = np.eye(4, dtype=complex)
+        m[2:, 2:] = u
+        phi = qcore.BELL_BASIS[0].reshape(2, 2)
+        expected = np.einsum("ACac,ab,cd->AbCd", m.reshape(2, 2, 2, 2), phi, phi)
+        assert np.allclose(cj_state(ControlledGate(1, 2, u)).amplitudes, expected.reshape(16), atol=1e-15)
 
     def test_shared_control_gates_commute(self):
         m12 = controlled_matrix(qcore.haar_unitary(1), 2)
@@ -49,14 +51,19 @@ class TestControlledGate:
             ControlledGate(1, 2, np.array([[1, 1], [0, 1]]))
 
 
+def cost(cj) -> float:
+    """Entropy of the control pair of a channel state."""
+    return float(entropies(density_spectra(reduced(cj, {1, 2}))))
+
+
 class TestCjState:
     def test_identity_gate_costs_nothing(self):
         cj = cj_state(ControlledGate(1, 2, np.eye(2)))
-        assert entropy(partial_trace(cj, {1, 2})) < 1e-12
+        assert cost(cj) < 1e-12
 
     def test_orthogonal_branches_cost_one(self):
         cj = cj_state(ControlledGate(1, 2, zrot(np.pi / 2)))
-        assert abs(entropy(partial_trace(cj, {1, 2})) - 1) < 1e-12
+        assert abs(cost(cj) - 1) < 1e-12
 
     def test_matches_gate_cost_formula(self):
         # Cross-module agreement with the implementation-cost expression.
@@ -64,7 +71,7 @@ class TestCjState:
             u = qcore.haar_unitary(seed)
             cj = cj_state(ControlledGate(1, 2, u))
             expected = binary_entropy((1 + abs(np.trace(u)) / 2) / 2)
-            assert abs(entropy(partial_trace(cj, {1, 2})) - expected) < 1e-10
+            assert abs(cost(cj) - expected) < 1e-10
 
 
 def on_qubits(ops: dict) -> np.ndarray:

@@ -16,19 +16,15 @@ from triqent.classification import lu_equivalent
 from triqent.measures import (
     InconsistentMeasures,
     MeasureSet,
-    e2_e3_imp,
-    e4_e5_gain,
     e6,
     invert_measures,
     measure_set,
     s_psi_set,
-    splitting_entanglement,
     splitting_overlap_sq,
 )
-from triqent.gensim import ControlledGate
 from triqent.qcore import InternalCheckFailed, apply_local
 
-from conftest import genuine_haar
+from conftest import genuine_haar, reduced, states_close
 
 GENERIC_FORM = form_from_params(0.8, 0.3, 0.7, 0.2, 0.5)
 HALF_PI = np.pi / 2
@@ -55,6 +51,19 @@ def _explicit_rows(form) -> list:
         backward[q1 * 4 + 0b11] += form.b * plus2[q1]
     rows = members + [two_branch(psi_s, u2, qcore.PAULI_I), backward]
     return [qcore.PureState(3, row).amplitudes for row in rows]
+
+
+def _controlled(u) -> np.ndarray:
+    """4x4 controlled gate |0><0| x 1 + |1><1| x u, control more significant."""
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = u
+    return out
+
+
+def _purity_1(amps) -> float:
+    """Purity of the qubit-1 reduction of ``amps``, from the ``reduced`` oracle."""
+    rho = reduced(amps, {1})
+    return float(np.trace(rho @ rho).real)
 
 
 def _per_state_measures(form):
@@ -122,19 +131,20 @@ class TestE1:
 
 class TestGateCosts:
     def test_ghz_values(self, ghz):
-        v2, v3 = e2_e3_imp(canonical_decomposition(ghz))
+        ms = measure_set(canonical_decomposition(ghz))
+        v2, v3 = ms.e2, ms.e3
         assert abs(v2 - 1) < 1e-12
         assert abs(v3 - 0) < 1e-12
 
     def test_orthogonal_branches_maximal(self):
         form = form_from_params(0.9, 0.2, 0.4, 0.1, np.pi / 2)
-        assert abs(e2_e3_imp(form)[1] - 1) < 1e-12
+        assert abs(measure_set(form).e3 - 1) < 1e-12
 
     def test_frozen_derived_value(self):
         # Oracle (channel-state entropy) evaluated once and frozen:
         # beta = pi/3, alpha + gamma = pi/4 -> e2 = 0.9078523006019320.
         form = form_from_params(0.9, 0.4 + np.pi / 8, np.pi / 3, np.pi / 8 - 0.4, 0.3)
-        v2, _ = e2_e3_imp(form)
+        v2 = measure_set(form).e2
         assert abs(v2 - 0.9078523006019320) < 1e-12
         # and the trig correspondence gives the same number
         trig = binary_entropy((1 + np.cos(np.pi / 3) * np.cos(np.pi / 4)) / 2)
@@ -143,7 +153,8 @@ class TestGateCosts:
 
 class TestGains:
     def test_ghz_maximal(self, ghz):
-        v4, v5 = e4_e5_gain(canonical_decomposition(ghz))
+        ms = measure_set(canonical_decomposition(ghz))
+        v4, v5 = ms.e4, ms.e5
         assert abs(v4 - 1) < 1e-12
         assert abs(v5 - 1) < 1e-12
 
@@ -151,34 +162,34 @@ class TestGains:
         # cos^2(beta) * [...] = 0 means the reduced state is maximally mixed
         # when a = b, so the entanglement gained is 1 (the overlap is 0).
         form = form_from_params(1 / np.sqrt(2), 0.3, np.pi / 2, 0.0, 0.2)
-        v4, _ = e4_e5_gain(form)
+        v4 = measure_set(form).e4
         assert abs(v4 - 1) < 1e-12
 
     def test_identity_like_branch_gains_nothing(self):
         form = form_from_params(1 / np.sqrt(2), 1e-15, 0.0, 0.0, 0.0)
-        v4, _ = e4_e5_gain(form)
+        v4 = measure_set(form).e4
         assert v4 < 1e-12
 
 
 class TestSPsiSet:
     def test_member0_reconstructs_input(self):
         sp = s_psi_set(GENERIC_FORM)
-        assert sp.psi.isclose(reconstruct_state(GENERIC_FORM), atol=1e-12)
+        assert states_close(sp.members[0], reconstruct_state(GENERIC_FORM), atol=1e-12)
 
     def test_ghz_family_degenerate(self, ghz):
         sp = s_psi_set(canonical_decomposition(ghz))
         for member in sp.members[1:]:
-            equal, _ = lu_equivalent(sp.psi, member)
+            equal, _ = lu_equivalent(sp.members[0], member)
             assert equal
 
     def test_member2_is_conjugate_of_member0(self):
         sp = s_psi_set(GENERIC_FORM)
-        equal, _ = lu_equivalent(sp.psi_conj, sp.psi.conj())
+        equal, _ = lu_equivalent(sp.members[2], sp.members[0].conj())
         assert equal
 
     def test_partner_not_equivalent_off_manifold(self):
         sp = s_psi_set(GENERIC_FORM)
-        equal, conj = lu_equivalent(sp.psi, sp.psi_prime)
+        equal, conj = lu_equivalent(sp.members[0], sp.members[3])
         assert not equal and not conj
 
 
@@ -189,8 +200,8 @@ class TestFamilyDefinition:
         u2, u3 = branch_unitaries(*form.params)
         swap = np.eye(4)[[0, 2, 1, 3]]
         p23 = np.kron(np.eye(2), swap)
-        cu12 = np.kron(ControlledGate(1, 2, u2).matrix(), np.eye(2))
-        cu13 = p23 @ np.kron(ControlledGate(1, 3, u3).matrix(), np.eye(2)) @ p23
+        cu12 = np.kron(_controlled(u2), np.eye(2))
+        cu13 = p23 @ np.kron(_controlled(u3), np.eye(2)) @ p23
         sigma = np.kron(np.eye(2), np.kron(qcore.PAULIS[n], np.eye(2)))
         plus = np.array([1, 1]) / np.sqrt(2)
         psi_s = np.array([form.a, 0, 0, form.b])
@@ -218,7 +229,7 @@ class TestFamilyDefinition:
         # The four family members, E4 and E5 in one (6, 2, 2) eigvalsh, the two
         # gate-cost mixtures in one (2, 4, 4); no state or reduction object.
         forms = [GENERIC_FORM, canonical_decomposition(ghz)]
-        expected = [(measure_set(f), splitting_entanglement(f), e6(f)) for f in forms]
+        expected = [(measure_set(f), e6(f)) for f in forms]
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -231,13 +242,11 @@ class TestFamilyDefinition:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         monkeypatch.setattr(qcore.PureState, "__post_init__", refused)
-        monkeypatch.setattr(qcore.DensityOperator, "__post_init__", refused)
-        monkeypatch.setattr(qcore, "partial_trace", refused)
-        for form, (ms, e_1_23, e6_value) in zip(forms, expected):
+        for form, (ms, e6_value) in zip(forms, expected):
             shapes.clear()
             assert measure_set(form) == ms
             assert sorted(shapes) == [(2, 4, 4), (6, 2, 2)]
-            assert (ms.e_1_23, ms.e6) == (e_1_23, e6_value)
+            assert ms.e6 == e6_value
 
     def test_splitting_cross_check_still_raises(self, monkeypatch):
         monkeypatch.setattr(measures, "splitting_overlap_sq", lambda *args: 0.5)
@@ -248,7 +257,7 @@ class TestFamilyDefinition:
 class TestInternalChecks:
     def test_gate_cost_check_reports_its_residual(self, monkeypatch):
         f = GENERIC_FORM
-        e2, _ = e2_e3_imp(f)
+        e2 = measure_set(f).e2
         trig = binary_entropy(0.5 * (1 + abs(np.cos(f.beta) * np.cos(f.alpha + f.gamma))))
         monkeypatch.setattr(measures, "_TOL_XCHECK", -1.0)
         with pytest.raises(InternalCheckFailed) as exc:
@@ -263,7 +272,7 @@ class TestInternalChecks:
         a, b, al, be, ga, bp = f.a, f.b, f.alpha, f.beta, f.gamma, f.beta_prime
         (e2, e3), ent = _per_state_measures(f)
         rows = _explicit_rows(f)
-        purity4, purity5 = (qcore.partial_trace(qcore.PureState(3, rows[k]), {1}).purity() for k in (4, 5))
+        purity4, purity5 = (_purity_1(rows[k]) for k in (4, 5))
         ov4_sq = np.cos(be) ** 2 * ((a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2)
         pur5 = a**4 + b**4 + 2 * a**2 * b**2 * (
             np.cos(al + ga) ** 2 * np.cos(be) ** 2 + np.sin(al - ga) ** 2 * np.sin(be) ** 2
@@ -293,11 +302,11 @@ class TestInternalChecks:
 
     def test_gain_check_reports_its_residual(self, monkeypatch):
         f = GENERIC_FORM
-        forward = qcore.PureState(3, _explicit_rows(f)[4])
+        forward = _explicit_rows(f)[4]
         ov4_sq = np.cos(f.beta) ** 2 * (
             (f.a**2 - f.b**2) ** 2 + 4 * f.a**2 * f.b**2 * np.cos(f.alpha + f.gamma) ** 2
         )
-        residual = abs(qcore.partial_trace(forward, {1}).purity() - 0.5 * (1 + ov4_sq))
+        residual = abs(_purity_1(forward) - 0.5 * (1 + ov4_sq))
 
         def strict_gain(name, value, tol):
             qcore.check(name, value, -1.0 if name == "gain cross-check" else tol)
@@ -368,9 +377,7 @@ class TestE6:
         partner = _partner_form(GENERIC_FORM)
         assert e6(GENERIC_FORM) != e6(partner)
         # the two splitting entanglements really differ
-        assert abs(
-            splitting_entanglement(GENERIC_FORM) - splitting_entanglement(partner)
-        ) > 1e-3
+        assert abs(measure_set(GENERIC_FORM).e_1_23 - measure_set(partner).e_1_23) > 1e-3
 
     def test_beta_prime_zero_degenerate(self):
         form = form_from_params(0.8, 0.3, 0.7, 0.2, 0.0)

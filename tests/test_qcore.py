@@ -11,16 +11,15 @@ from triqent.qcore import (
     LocalUnitary,
     PureState,
     apply_local,
-    basis_state,
-    entropy,
+    density_spectra,
+    entropies,
     genuine_tripartite,
     haar_state,
     haar_unitary,
-    partial_trace,
     permute_qubits,
 )
 
-from conftest import genuine_haar
+from conftest import basis, genuine_haar, reduced, states_close
 
 
 class TestPureState:
@@ -40,20 +39,20 @@ class TestPureState:
 
     def test_qubit1_is_most_significant(self):
         # |100> must be index 4
-        s = basis_state(3, 4)
+        s = basis(3, 4)
         assert abs(s.tensor()[1, 0, 0] - 1) < 1e-15
 
 
 class TestApplyLocal:
     def test_identity(self):
-        s = basis_state(3, 0)
+        s = basis(3, 0)
         out = apply_local(s, LocalUnitary.identity(3))
-        assert out.isclose(s, atol=1e-14)
+        assert states_close(out, s, atol=1e-14)
 
     def test_bit_flip_on_first_qubit(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = apply_local(basis_state(3, 0), LocalUnitary.single(3, 1, sx))
-        assert out.isclose(basis_state(3, 0b100), atol=1e-14)
+        out = apply_local(basis(3, 0), LocalUnitary((sx, qcore.PAULI_I, qcore.PAULI_I)))
+        assert states_close(out, basis(3, 0b100), atol=1e-14)
 
     def test_factor_count_mismatch(self, ghz):
         with pytest.raises(ValueError, match="factors"):
@@ -61,7 +60,7 @@ class TestApplyLocal:
 
     def test_non_unitary_factor_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            LocalUnitary.single(3, 1, np.array([[1, 1], [0, 1]]))
+            LocalUnitary((np.array([[1, 1], [0, 1]]), qcore.PAULI_I, qcore.PAULI_I))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -72,77 +71,111 @@ class TestApplyLocal:
 
 
 class TestPartialTrace:
+    # The package reduces 3-qubit states in two ways: ``marginal_spectra`` in
+    # closed form per qubit, and ``density_spectra`` on stacked matrices.
+    # ``reduced`` is the einsum oracle of the reductions themselves.
     def test_product_state(self):
-        rho = partial_trace(basis_state(3, 0), {1})
-        assert np.allclose(rho.matrix, [[1, 0], [0, 0]], atol=1e-14)
+        state = basis(3, 0)
+        assert np.allclose(reduced(state, {1}), [[1, 0], [0, 0]], atol=1e-14)
+        assert np.array_equal(qcore.marginal_spectra(state.tensor()), [[0, 1]] * 3)
 
     def test_ghz_marginal_maximally_mixed(self, ghz):
-        rho = partial_trace(ghz, {1})
-        assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(reduced(ghz, {1}), np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(qcore.marginal_spectra(ghz.tensor()), 0.5, atol=1e-14)
 
     def test_w_pair_eigenvalues_match_direct_eigendecomposition(self, w):
         # Oracle: build rho_23 from explicit outer products and diagonalize.
         m = w.amplitudes.reshape(2, 4)
         rho_direct = m[0][:, None] @ m[0][None, :].conj() + m[1][:, None] @ m[1][None, :].conj()
-        expected = np.sort(np.linalg.eigvalsh(rho_direct))[::-1]
-        got = partial_trace(w, {2, 3}).eigenvalues()
+        expected = np.linalg.eigvalsh(rho_direct)
+        got = density_spectra(reduced(w, {2, 3}))
         assert np.allclose(got, expected, atol=1e-12)
-        assert np.allclose(expected[:2], [2 / 3, 1 / 3], atol=1e-12)
-
-    def test_empty_and_full_keep_rejected(self, ghz):
-        with pytest.raises(ValueError):
-            partial_trace(ghz, set())
-        with pytest.raises(ValueError):
-            partial_trace(ghz, {1, 2, 3})
+        assert np.allclose(expected[2:], [1 / 3, 2 / 3], atol=1e-12)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_complementary_spectra_agree(self, seed):
         state = haar_state(3, seed)
-        ev1 = partial_trace(state, {1}).eigenvalues()
-        ev23 = partial_trace(state, {2, 3}).eigenvalues()
-        assert np.allclose(ev1, ev23[:2], atol=1e-10)
-        assert np.all(ev23[2:] < 1e-10)
+        marginals = qcore.marginal_spectra(state.tensor())
+        for q in (1, 2, 3):
+            assert np.allclose(marginals[q - 1], density_spectra(reduced(state, {q})), atol=1e-12)
+        ev23 = density_spectra(reduced(state, {2, 3}))
+        assert np.allclose(marginals[0], ev23[2:], atol=1e-10)
+        assert np.all(np.abs(ev23[:2]) < 1e-10)
+
+
+def reduced_entropy(state, keep) -> float:
+    return float(entropies(density_spectra(reduced(state, keep))))
 
 
 class TestEntropy:
     def test_pure_projector(self):
-        assert entropy(partial_trace(basis_state(3, 0), {1})) == 0.0
+        assert reduced_entropy(basis(3, 0), {1}) == 0.0
 
     def test_maximally_mixed(self, ghz):
-        assert abs(entropy(partial_trace(ghz, {1})) - 1.0) < 1e-12
+        assert abs(reduced_entropy(ghz, {1}) - 1.0) < 1e-12
 
     def test_two_thirds_one_third(self, w):
         # Oracle: -sum(lambda log2 lambda) evaluated directly.
         expected = -(2 / 3) * np.log2(2 / 3) - (1 / 3) * np.log2(1 / 3)
         assert abs(expected - 0.9182958340544896) < 1e-15
-        assert abs(entropy(partial_trace(w, {1})) - expected) < 1e-12
+        assert abs(reduced_entropy(w, {1}) - expected) < 1e-12
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_bounds_and_zero_iff_pure(self, seed):
-        rho = partial_trace(haar_state(3, seed), {1, 2})
-        s = entropy(rho)
+        spectrum = density_spectra(reduced(haar_state(3, seed), {1, 2}))
+        s = float(entropies(spectrum))
         assert -1e-12 <= s <= 2.0
         if s < 1e-12:
-            assert rho.eigenvalues()[0] >= 1 - 1e-9
+            assert spectrum[-1] >= 1 - 1e-9
 
     def test_reuses_the_validated_spectrum(self, monkeypatch):
+        # One eigvalsh call validates a stack of reductions, and the entropies
+        # are taken from that spectrum.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def counted(m):
-            calls.append(1)
+            calls.append(np.shape(m))
             return eigvalsh(m)
 
+        stack = np.array([reduced(genuine_haar(8), {q}) for q in (1, 2, 3)])
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rho = partial_trace(genuine_haar(8), {1})
-        s, ev = entropy(rho), rho.eigenvalues()
-        assert len(calls) == 1
+        s = entropies(density_spectra(stack))
+        assert calls == [(3, 2, 2)]
         monkeypatch.undo()
-        expected = eigvalsh(rho.matrix)
-        assert np.array_equal(ev, np.clip(expected[::-1], 0.0, 1.0))
-        assert s == float(-(expected * np.log2(expected)).sum())
+        for rho, value in zip(stack, s):
+            expected = eigvalsh(rho)
+            assert value == -(expected * np.log2(expected)).sum()
+
+
+class TestDensitySpectra:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+            ([[0.5, 0.0], [0.0, 0.5 + 1e-9]], "trace is not 1"),
+            ([[-1e-9, 0.0], [0.0, 1 + 1e-9]], "significantly negative eigenvalue"),
+        ],
+    )
+    def test_rejects_invalid_matrices(self, matrix, message):
+        valid = np.eye(2) / 2
+        for m in (np.array(matrix), np.array([valid, matrix])):
+            with pytest.raises(ValueError, match=message):
+                density_spectra(m.astype(complex))
+
+    def test_accepts_a_negative_eigenvalue_within_tolerance(self):
+        spectrum = density_spectra(np.diag([-5e-11, 1 + 5e-11]).astype(complex))
+        assert np.allclose(spectrum, [-5e-11, 1 + 5e-11], rtol=0, atol=1e-20)
+
+    def test_clip_rule(self):
+        clip = qcore.EIG_CLIP
+        assert np.array_equal(entropies(np.array([[-clip, 0.5, 0.5], [0.0, 0.0, 1.0]])), [1.0, 0.0])
+        assert entropies(np.array([-0.5 * clip, 1.0])) == 0.0
+        for spectra in (np.array([-1.5 * clip, 1.0]), np.array([[0.5, 0.5], [-2 * clip, 1.0]])):
+            with pytest.raises(ValueError, match="below clipping tolerance"):
+                entropies(spectra)
 
 
 class TestSampling:
@@ -178,7 +211,7 @@ class TestSampling:
     def test_rotation_invariance_of_overlap_distribution(self):
         # Mean squared overlap with any fixed state is 1/dim for Haar states.
         fixed = haar_state(2, 999)
-        vals = [abs(fixed.overlap(haar_state(2, s))) ** 2 for s in range(2000)]
+        vals = [abs(np.vdot(fixed.amplitudes, haar_state(2, s).amplitudes)) ** 2 for s in range(2000)]
         assert abs(np.mean(vals) - 1 / 4) < 0.02
 
 
@@ -192,19 +225,19 @@ class TestGenuineTripartite:
         assert not genuine_tripartite(PureState(3, amps))
 
     def test_full_product_false(self):
-        assert not genuine_tripartite(basis_state(3, 0))
+        assert not genuine_tripartite(basis(3, 0))
 
 
 class TestPermute:
     def test_swap_reorders_bits(self):
-        s = basis_state(3, 0b100)
+        s = basis(3, 0b100)
         out = permute_qubits(s, (2, 1, 3))
-        assert out.isclose(basis_state(3, 0b010), atol=1e-15)
+        assert states_close(out, basis(3, 0b010), atol=1e-15)
 
     def test_roundtrip(self):
         state = genuine_haar(5)
         out = permute_qubits(permute_qubits(state, (3, 2, 1)), (3, 2, 1))
-        assert out.isclose(state, atol=1e-14)
+        assert states_close(out, state, atol=1e-14)
 
 
 class TestInternalCheck:
