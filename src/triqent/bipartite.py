@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import (
+    PAULI_Y,
     LocalUnitary,
     PureState,
     require_tripartite,
@@ -22,16 +23,8 @@ TOL_DEGENERATE = 1e-9
 # zero (``TauMatrix.zero``).
 TOL_OVERLAP = 1e-10
 
-# sigma_y x sigma_y is real symmetric; rows/cols ordered |00>,|01>,|10>,|11>.
-_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=float,
-)
+# sigma_y x sigma_y is real symmetric, with entries 0 and +-1 exactly.
+_YY = np.ascontiguousarray(np.kron(PAULI_Y, PAULI_Y).real)
 
 
 def _bilinear(u: np.ndarray, v: np.ndarray) -> complex:
@@ -268,8 +261,9 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
     psi1, _ = _phase_fix(psi1, c1, zero_thr)
     # A phase on psi_k is compensated by the conjugate phase on |k> of
     # qubit 1, i.e. by a diagonal factor multiplying the witness.
-    d0 = _phase_align(psi0, w1, state, row=0, p=p)
-    d1 = _phase_align(psi1, w1, state, row=1, p=p)
+    rotated = w1 @ m
+    d0 = _phase_align(psi0, rotated[0] / np.sqrt(p))
+    d1 = _phase_align(psi1, rotated[1] / np.sqrt(1 - p))
     w1 = np.diag([d0, d1]) @ w1
 
     return SchmidtSplit(
@@ -282,10 +276,9 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
     )
 
 
-def _phase_align(psi_fixed, w1, state, row: int, p: float) -> complex:
-    """Diagonal witness entry aligning the rotated input with the fixed eigenvector."""
-    weight = np.sqrt(p) if row == 0 else np.sqrt(1 - p)
-    current = (w1 @ state.amplitudes.reshape(2, 4))[row] / weight
+def _phase_align(psi_fixed, current) -> complex:
+    """Diagonal witness entry aligning ``current``, a normalised row of the rotated
+    input, with the fixed eigenvector."""
     ov = np.vdot(psi_fixed, current)
     return (abs(ov) / ov) if abs(ov) > 1e-14 else 1.0
 

@@ -8,7 +8,7 @@ agree on E1..E5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,15 +56,7 @@ class MeasureSet:
     e_1_23: float
 
     def as_dict(self) -> dict:
-        return {
-            "E1": self.e1,
-            "E2": self.e2,
-            "E3": self.e3,
-            "E4": self.e4,
-            "E5": self.e5,
-            "E6": self.e6,
-            "E_1_23": self.e_1_23,
-        }
+        return {f.name.upper(): getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,9 @@ def _measures(form: CanonicalForm) -> tuple[list, list]:
     # (u x 1)|phi+> has the amplitudes u_ij / sqrt(2).
     rotated = np.stack([u2, u3]).reshape(2, 4) * BELL_BASIS[0][0]
     mixtures = 0.5 * (_BELL_OUTER + rotated[:, :, None] * rotated.conj()[:, None, :])
-    gate_costs = []
-    for ev, ov_trig in zip(np.linalg.eigvalsh(mixtures), (np.cos(be) * np.cos(al + ga), np.cos(bp))):
-        val = float(-(ev[ev > 1e-300] * np.log2(ev[ev > 1e-300])).sum())
+    gate_costs = entropies(np.linalg.eigvalsh(mixtures)).tolist()
+    for val, ov_trig in zip(gate_costs, (np.cos(be) * np.cos(al + ga), np.cos(bp))):
         check("gate-cost cross-check", abs(val - _rank2_entropy(abs(ov_trig))), _TOL_XCHECK)
-        gate_costs.append(val)
 
     ov4_sq = np.cos(be) ** 2 * ((a**2 - b**2) ** 2 + 4 * a**2 * b**2 * np.cos(al + ga) ** 2)
     pur5 = a**4 + b**4 + 2 * a**2 * b**2 * (
@@ -211,18 +201,30 @@ def _overlap_from_entropy(value: float) -> float:
     return min(max(2 * binary_entropy_inverse_upper(value) - 1, 0.0), 1.0)
 
 
+def _images(x: float) -> tuple:
+    """The four angles sharing |cos| and |sin| with ``x`` in [0, pi/2]."""
+    return x, -x, np.pi - x, x - np.pi
+
+
 def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     """Canonical-form candidates reproducing an internally consistent measure set.
 
     The measures fix a state only up to local unitaries and complex
     conjugation, so the candidates may hold both a source form and its
-    conjugate's.  At most four candidates survive; when a = b within
-    tolerance only e1, e2 and e5 are independent and the single degenerate
-    candidate is returned (recognizable by its max_entangled_convention
-    flag).  Close to equal
-    Schmidt weights the split between the rotation angle of the controlled
-    gate and its phases is identifiable only to O(a - b); the acceptance
-    filter widens accordingly there.
+    conjugate's.  At most four candidates survive.
+
+    The raw candidates pair each of the four ``sums`` alpha + gamma that share
+    |cos(alpha + gamma)| with each of the four ``diffs`` alpha - gamma that
+    share |sin(alpha - gamma)|.  Within 1e-9 of beta = pi/2 (cos^2 beta) only
+    alpha - gamma is physical and ``sums`` is (0,); within 1e-9 of beta = 0
+    (sin^2 beta) only alpha + gamma is, and ``diffs`` is (0,).  Either way beta
+    is put exactly on the edge.
+
+    When a = b within tolerance only e1, e2 and e5 are independent, and the
+    single degenerate candidate is returned (recognizable by its
+    max_entangled_convention flag).  Close to equal Schmidt weights the split
+    between the rotation angle of the controlled gate and its phases is
+    identifiable only to O(a - b); the acceptance filter widens accordingly.
 
     A candidate outside the canonical range is skipped; a failed internal
     cross-check propagates.  Raises InconsistentMeasures when no candidate
@@ -234,53 +236,38 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     b = float(np.sqrt(max(1 - a_sq, 0.0)))
     tol_match = _TOL_MATCH_NEAR_MAXENT if 0 < abs(2 * a_sq - 1) <= 1e-4 else _TOL_MATCH
 
-    raw_candidates = []
     if a - b <= TOL_MAXENT:
         theta = float(np.arccos(_overlap_from_entropy(ms.e2)))
-        raw_candidates.append((theta, 0.0, 0.0, 0.0))
+        raws = [(theta, 0.0, 0.0, 0.0)]
     else:
         beta_prime = float(np.arccos(_overlap_from_entropy(ms.e3)))
         v2 = _overlap_from_entropy(ms.e2) ** 2
         ov4_sq = _overlap_from_entropy(ms.e4) ** 2
         cos2_beta = (ov4_sq - 4 * a_sq * (1 - a_sq) * v2) / (2 * a_sq - 1) ** 2
         cos2_beta = min(max(cos2_beta, 0.0), 1.0)
-        beta = float(np.arccos(np.sqrt(cos2_beta)))
         r5 = _overlap_from_entropy(ms.e5)
         kappa_sq = 1 - (1 - r5 * r5) / (4 * a_sq * (1 - a_sq))
         kappa_sq = min(max(kappa_sq, 0.0), 1.0)
         if cos2_beta > 1e-9:
             cos2_sum = min(max(v2 / cos2_beta, 0.0), 1.0)
+            sums = _images(float(np.arccos(np.sqrt(cos2_sum))))
         else:
-            cos2_sum = None
-        sin2_beta = 1 - cos2_beta
-        if sin2_beta > 1e-9 and cos2_sum is not None:
-            sin2_diff = (kappa_sq - cos2_sum * cos2_beta) / sin2_beta
-            sin2_diff = min(max(sin2_diff, 0.0), 1.0)
-        else:
-            sin2_diff = None
-
-        if cos2_sum is None:
             # beta = pi/2: only alpha - gamma is physical.
-            d = float(np.arcsin(np.sqrt(min(max(kappa_sq, 0.0), 1.0))))
-            for dv in (d, -d, np.pi - d, d - np.pi):
-                raw_candidates.append((dv, np.pi / 2, 0.0, beta_prime))
-        elif sin2_diff is None:
-            # beta = 0: only alpha + gamma is physical.
-            s = float(np.arccos(np.sqrt(cos2_sum)))
-            for sv in (s, -s, np.pi - s, s - np.pi):
-                raw_candidates.append((sv, 0.0, 0.0, beta_prime))
+            cos2_beta = cos2_sum = 0.0
+            sums = (0.0,)
+        beta = float(np.arccos(np.sqrt(cos2_beta)))
+        sin2_beta = 1 - cos2_beta
+        if sin2_beta > 1e-9:
+            sin2_diff = min(max((kappa_sq - cos2_sum * cos2_beta) / sin2_beta, 0.0), 1.0)
+            diffs = _images(float(np.arcsin(np.sqrt(sin2_diff))))
         else:
-            s = float(np.arccos(np.sqrt(cos2_sum)))
-            d = float(np.arcsin(np.sqrt(sin2_diff)))
-            for sv in (s, -s, np.pi - s, s - np.pi):
-                for dv in (d, -d, np.pi - d, d - np.pi):
-                    alpha = (sv + dv) / 2
-                    gamma = (sv - dv) / 2
-                    raw_candidates.append((alpha, beta, gamma, beta_prime))
+            # beta = 0: only alpha + gamma is physical.
+            beta, diffs = 0.0, (0.0,)
+        raws = [((s + d) / 2, beta, (s - d) / 2, beta_prime) for s in sums for d in diffs]
 
     seen = set()
     result = []
-    for params in canonical_representatives(raw_candidates):
+    for params in canonical_representatives(raws):
         key = tuple(np.round(params, 8))
         if key in seen:
             continue
@@ -290,15 +277,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
             got = measure_set(form)
         except ValueError:
             continue
-        resid = max(
-            abs(got.e1 - ms.e1),
-            abs(got.e2 - ms.e2),
-            abs(got.e3 - ms.e3),
-            abs(got.e4 - ms.e4),
-            abs(got.e5 - ms.e5),
-            abs(got.e_1_23 - ms.e_1_23),
-            abs(got.e6 - ms.e6),
-        )
+        resid = max(abs(getattr(got, f.name) - getattr(ms, f.name)) for f in fields(MeasureSet))
         if resid <= tol_match:
             result.append(form)
     if not result:

@@ -1,10 +1,13 @@
-"""The README's "Public API" list is the package's export list."""
+"""The README's "Public API" list is the package's export list, and its CLI
+examples name exactly the registered subcommands."""
 
+import argparse
 import re
 import types
 from pathlib import Path
 
 import triqent
+from triqent import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +38,10 @@ def test_each_export_is_listed_under_its_module():
     for module, names in readme_api():
         for name in names:
             assert getattr(triqent, name).__module__ == f"triqent.{module}", name
+
+
+def test_readme_cli_examples_name_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"^triqent ([\w-]+)", text, flags=re.MULTILINE))
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(subparsers.choices)

@@ -102,8 +102,11 @@ class TestRecordIO:
         path.write_text(json.dumps([bad, ghz_record()]))
         code, out = run_cli(["analyze", str(path)], capsys)
         reports = json.loads(out)
-        assert code == 0 and message in reports[0]["error"]
+        assert code == 0 and reports[0]["error"] == "invalid_record"
+        assert message in reports[0]["message"]
         assert reports[1]["classification"]["class"] == "Class4"
+        _, table = run_cli(["analyze", str(path), "--table"], capsys)
+        assert table.splitlines()[1] == f"       bad  invalid_record: {reports[0]['message']}"
 
 
 class TestAnalyze:
@@ -176,7 +179,8 @@ class TestAnalyze:
         assert code == 0
         reports = json.loads(out)
         assert [reports[0], *reports[2:]] == [
-            {"id": str(idx), "error": f"record {idx}: expected a JSON object"} for idx in (0, 2, 3)
+            {"id": str(idx), "error": "invalid_record", "message": f"record {idx}: expected a JSON object"}
+            for idx in (0, 2, 3)
         ]
         assert reports[1:2] == json.loads(ghz_only)
 
@@ -233,6 +237,36 @@ class TestSubcommands:
         assert rep["member_aggregates"] == pytest.approx([0.25] * 4, abs=1e-12)
 
     @pytest.mark.parametrize(
+        "command,sections",
+        [
+            ("decompose", ["canonical"]),
+            ("measures", ["measures", "bipartite"]),
+            ("classify", ["classification"]),
+            ("standard-form", ["standard_form", "invariants"]),
+        ],
+    )
+    def test_prints_its_sections_of_the_analyze_report(self, command, sections, monkeypatch, tmp_path, capsys):
+        bad = _class_state("class2", np.random.default_rng(0))
+        records = [
+            ghz_record(),
+            state_to_record(qcore.genuine_haar_state(5), "haar"),
+            product_record(),
+            {"id": "short", "amplitudes": [[1, 0]] * 7},
+            state_to_record(bad, "bad"),
+        ]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(records))
+        # Forced by a tolerance no residual meets, so the class-2 record fails its check.
+        monkeypatch.setattr(classification, "TOL_CLU", -1.0)
+        code, out = run_cli([command, str(path)], capsys)
+        _, full = run_cli(["analyze", str(path)], capsys)
+        assert code == 1
+        full = json.loads(full)
+        assert [r.get("error") for r in full] == [None, None, "biseparable", "invalid_record", "internal_check_failed"]
+        for got, report in zip(json.loads(out), full, strict=True):
+            assert got == (report if "error" in report else {k: report[k] for k in ("id", *sections)})
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["decompose", "--table"],
@@ -287,7 +321,9 @@ class TestSubcommands:
         code, out = run_cli(["gensim", str(path)], capsys)
         assert code == 0
         reports = json.loads(out)
-        assert reports[0] == {"id": "short", "error": "record 'short': expected 8 amplitudes"}
+        assert reports[0] == {
+            "id": "short", "error": "invalid_record", "message": "record 'short': expected 8 amplitudes"
+        }
         assert reports[1]["id"] == "ghz" and reports[1]["outcomes"] == 256
 
 
