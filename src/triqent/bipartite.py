@@ -17,11 +17,20 @@ from .qcore import (
     PureState,
     require_tripartite,
 )
-
-TOL_DEGENERATE = 1e-9
-# Overlaps at or below this, or at the Schmidt noise floor above it, count as
-# zero (``TauMatrix.zero``).
-TOL_OVERLAP = 1e-10
+from .tolerances import (
+    TOL_DEGENERATE,
+    TOL_OVERLAP,
+    _CAP_NOISE_FLOOR,
+    _SLACK_CONCURRENCE,
+    _SLACK_UNIT,
+    _SNAP_DEGENERATE,
+    _TOL_ALIGN_PHASE,
+    _TOL_AMPLITUDE,
+    _TOL_SELF_OVERLAP,
+    _TOL_TAKAGI_GAP,
+    _TOL_TAKAGI_PHASE,
+    _TOL_ZERO_DIAG,
+)
 
 # sigma_y x sigma_y is real symmetric, with entries 0 and +-1 exactly.
 _YY = np.ascontiguousarray(np.kron(PAULI_Y, PAULI_Y).real)
@@ -43,7 +52,7 @@ def eof(concurrence: float) -> float:
 
     Strictly increasing on [0, 1] with eof(0) = 0 and eof(1) = 1.
     """
-    if not (-1e-9 <= concurrence <= 1 + 1e-9):
+    if not (-_SLACK_CONCURRENCE <= concurrence <= 1 + _SLACK_CONCURRENCE):
         raise ValueError(f"concurrence out of range: {concurrence}")
     c = min(max(concurrence, 0.0), 1.0)
     return binary_entropy(0.5 * (1 + np.sqrt(max(1 - c * c, 0.0))))
@@ -66,8 +75,8 @@ def _bisect(below, lo: float, hi: float) -> float:
 
 
 def _unit_value(value: float) -> float:
-    """``value`` clipped to [0, 1]; ValueError beyond 1e-12 outside it or for NaN."""
-    if not (-1e-12 <= value <= 1 + 1e-12):
+    """``value`` clipped to [0, 1]; ValueError beyond ``_SLACK_UNIT`` outside it or for NaN."""
+    if not (-_SLACK_UNIT <= value <= 1 + _SLACK_UNIT):
         raise ValueError(f"value out of range: {value}")
     return min(max(value, 0.0), 1.0)
 
@@ -146,31 +155,28 @@ class TauMatrix:
             object.__setattr__(self, name, value)
 
 
-def _phase_fix(vec: np.ndarray, c: complex, zero_thr: float = 1e-12) -> tuple[np.ndarray, complex]:
+def _phase_fix(vec: np.ndarray, c: complex, zero_thr: float) -> np.ndarray:
     """Rotate a global phase so the self-overlap c becomes nonnegative.
 
     When c vanishes (below ``zero_thr``) the phase is undefined; fall back
     to making the first nonzero amplitude real positive.
     """
     if abs(c) > zero_thr:
-        phase = np.exp(-0.5j * np.angle(c))
-        return vec * phase, abs(c)
-    idx = int(np.argmax(np.abs(vec) > 1e-12))
-    a = vec[idx]
-    phase = abs(a) / a
-    return vec * phase, 0.0
+        return vec * np.exp(-0.5j * np.angle(c))
+    a = vec[int(np.argmax(np.abs(vec) > _TOL_AMPLITUDE))]
+    return vec * (abs(a) / a)
 
 
-def _takagi_2x2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _takagi_2x2(t: np.ndarray) -> np.ndarray:
     """Takagi factorization t = W diag(s1, s2) W^T of a complex symmetric 2x2.
 
-    Returns (W, s) with s1 >= s2 >= 0 and W unitary; deterministic up to the
+    Returns the unitary W, for s1 >= s2 >= 0; deterministic up to the
     documented column sign fix.
     """
     u, s, vh = np.linalg.svd(t)
     v = vh.conj().T
     c = u.conj().T @ v.conj()
-    if s[0] - s[1] > 1e-12 * max(s[0], 1.0):
+    if s[0] - s[1] > _TOL_TAKAGI_GAP * max(s[0], 1.0):
         d = np.sqrt(np.diag(c).astype(complex))
         w = u @ np.diag(d)
     else:
@@ -184,9 +190,9 @@ def _takagi_2x2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(2):
         idx = int(np.argmax(np.abs(w[:, k])))
         a = w[idx, k]
-        if abs(a) > 1e-14:
+        if abs(a) > _TOL_TAKAGI_PHASE:
             w[:, k] *= abs(a) / a
-    return w, s
+    return w
 
 
 def _tau_entries(p: float, psi0: np.ndarray, psi1: np.ndarray):
@@ -203,11 +209,6 @@ def _tau_entries(p: float, psi0: np.ndarray, psi1: np.ndarray):
     return c0, c1, ct, tau
 
 
-# Window below which the splitting is treated as exactly degenerate and the
-# eigenbasis is rebased to its canonical representative.
-_SNAP_DEGENERATE = 1e-12
-
-
 def schmidt_noise_floor(p: float) -> float:
     """Error scale of quantities built from the 1|23 eigenbasis.
 
@@ -215,7 +216,7 @@ def schmidt_noise_floor(p: float) -> float:
     the Schmidt gap |2p - 1|; overlaps smaller than this are numerical noise.
     """
     eps = np.finfo(float).eps
-    return float(min(32 * eps / max(abs(2 * p - 1), eps), 1e-4))
+    return float(min(32 * eps / max(abs(2 * p - 1), eps), _CAP_NOISE_FLOOR))
 
 
 def schmidt_split(state: PureState) -> SchmidtSplit:
@@ -241,9 +242,9 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
     if abs(p - 0.5) <= _SNAP_DEGENERATE:
         p = 0.5
         _, _, _, tau = _tau_entries(p, psi0, psi1)
-        zero_diag = abs(tau[0, 0]) <= 1e-12 and abs(tau[1, 1]) <= 1e-12
+        zero_diag = abs(tau[0, 0]) <= _TOL_ZERO_DIAG and abs(tau[1, 1]) <= _TOL_ZERO_DIAG
         if not zero_diag:
-            w, _ = _takagi_2x2(tau)
+            w = _takagi_2x2(tau)
             a = w.conj().T
             psi0, psi1 = a[0, 0] * psi0 + a[0, 1] * psi1, a[1, 0] * psi0 + a[1, 1] * psi1
             # New normal-form rows are a @ (old rows), so the qubit-1
@@ -254,11 +255,9 @@ def schmidt_split(state: PureState) -> SchmidtSplit:
     # information; the snapped degenerate basis is rebuilt cleanly, so only
     # the base threshold applies there.
     noise_floor = schmidt_noise_floor(p)
-    zero_thr = 1e-12 if p == 0.5 else max(1e-12, noise_floor)
-    c0 = _bilinear(psi0, psi0)
-    c1 = _bilinear(psi1, psi1)
-    psi0, _ = _phase_fix(psi0, c0, zero_thr)
-    psi1, _ = _phase_fix(psi1, c1, zero_thr)
+    zero_thr = _TOL_SELF_OVERLAP if p == 0.5 else max(_TOL_SELF_OVERLAP, noise_floor)
+    psi0 = _phase_fix(psi0, _bilinear(psi0, psi0), zero_thr)
+    psi1 = _phase_fix(psi1, _bilinear(psi1, psi1), zero_thr)
     # A phase on psi_k is compensated by the conjugate phase on |k> of
     # qubit 1, i.e. by a diagonal factor multiplying the witness.
     rotated = w1 @ m
@@ -280,7 +279,7 @@ def _phase_align(psi_fixed, current) -> complex:
     """Diagonal witness entry aligning ``current``, a normalised row of the rotated
     input, with the fixed eigenvector."""
     ov = np.vdot(psi_fixed, current)
-    return (abs(ov) / ov) if abs(ov) > 1e-14 else 1.0
+    return (abs(ov) / ov) if abs(ov) > _TOL_ALIGN_PHASE else 1.0
 
 
 def tau_matrix(split: SchmidtSplit) -> TauMatrix:

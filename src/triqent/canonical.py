@@ -26,15 +26,21 @@ from .bipartite import (
     schmidt_split,
     tau_matrix,
 )
-
-TOL_MAXENT = 1e-9
-# |cos arg ctilde| at or below this puts ctilde on the imaginary axis.
-TOL_CASE = 1e-10
-_FOLD_TOL = 1e-11
-# Cross-check tolerances: the two measurement branches carry equal
-# concurrence, and E1 lies inside [E(C23), E(C^a_23)].
-_TOL_BRANCH = 1e-9
-_TOL_INTERVAL = 1e-9
+from .tolerances import (
+    TOL_CASE,
+    TOL_MAXENT,
+    _FOLD_TOL,
+    _MARGIN_PRODUCT,
+    _ORBIT_KEY_SCALE,
+    _SLACK_HALF_OPEN,
+    _SLACK_RANGE,
+    _SNAP_GAUGE,
+    _TOL_BRANCH,
+    _TOL_EULER,
+    _TOL_INTERVAL,
+    _TOL_REPRESENTATIVE,
+    _TOL_SU2_DIAGONAL,
+)
 
 HALF_PI = np.pi / 2
 
@@ -63,9 +69,9 @@ def euler_zyz(u: np.ndarray) -> tuple[float, float, float]:
     """
     m00, m01 = u[0, 0], u[0, 1]
     beta = float(np.arctan2(abs(m01), abs(m00)))
-    if abs(m01) <= 1e-12:
+    if abs(m01) <= _TOL_EULER:
         return float(np.angle(m00)), beta, 0.0
-    if abs(m00) <= 1e-12:
+    if abs(m00) <= _TOL_EULER:
         return float(np.angle(m01)), beta, 0.0
     a0, a1 = np.angle(m00), np.angle(m01)
     return float((a0 + a1) / 2), beta, float((a0 - a1) / 2)
@@ -178,16 +184,16 @@ def _branch_states(split: SchmidtSplit, omega: float):
 def _normalize_half_open(x: float) -> float:
     """Reduce an angle modulo pi into (-pi/2, pi/2].
 
-    An angle within 1e-9 of the gauge boundary 0 or pi/2 is put on it, so a
-    tiny angle and its sign flip give one node and beta near an edge takes
-    the fold.
+    An angle within ``_SNAP_GAUGE`` of the gauge boundary 0 or pi/2 is put on
+    it, so a tiny angle and its sign flip give one node and beta near an edge
+    takes the fold.
     """
     y = (x + HALF_PI) % np.pi - HALF_PI
-    if y <= -HALF_PI + 1e-12:
+    if y <= -HALF_PI + _SLACK_HALF_OPEN:
         y += np.pi
-    if abs(y) < 1e-9:
+    if abs(y) < _SNAP_GAUGE:
         return 0.0
-    return HALF_PI if abs(y - HALF_PI) < 1e-9 else float(y)
+    return HALF_PI if abs(y - HALF_PI) < _SNAP_GAUGE else float(y)
 
 
 def _fold_gauge(params):
@@ -233,11 +239,12 @@ def _moves(params):
 
 
 def _key(node) -> tuple:
-    """Orbit key of a node: each angle rounded to 10 decimals, -0.0 made 0.0.
+    """Orbit key of a node: each angle rounded to 10 decimals (``_ORBIT_KEY_SCALE``),
+    -0.0 made 0.0.
 
     Plain-float spelling of ``np.round(node, 10) + 0.0``, bit for bit.
     """
-    return tuple([round(x * 1e10) / 1e10 + 0.0 for x in node])
+    return tuple([round(x * _ORBIT_KEY_SCALE) / _ORBIT_KEY_SCALE + 0.0 for x in node])
 
 
 # The eight move words that reach every node of an orbit, as ``_moves``
@@ -261,12 +268,13 @@ def _representative(orbit) -> tuple[tuple, tuple]:
     representative is selected by |alpha| >= |gamma| and then by the largest
     (alpha, gamma, beta, beta') tuple.
     """
+    tol = _TOL_REPRESENTATIVE
     candidates = [
-        ((a, 0.0 if abs(b) < 1e-12 else b, g, 0.0 if abs(v) < 1e-12 else v), path)
+        ((a, 0.0 if abs(b) < tol else b, g, 0.0 if abs(v) < tol else v), path)
         for (a, b, g, v), path in orbit
-        if b >= -1e-12 and v >= -1e-12
+        if b >= -tol and v >= -tol
     ]
-    candidates = [c for c in candidates if abs(c[0][0]) >= abs(c[0][2]) - 1e-12]
+    candidates = [c for c in candidates if abs(c[0][0]) >= abs(c[0][2]) - tol]
     if not candidates:
         raise InternalCheckFailed("canonical orbit representative", 1, 0)
     return max(candidates, key=lambda c: _key(c[0]))
@@ -334,7 +342,7 @@ def _diagonalize_su2(h: np.ndarray) -> tuple[float, np.ndarray]:
     """theta in [0, pi] and S in SU(2) with S^dag h S = Z(theta)."""
     tr = 0.5 * (h[0, 0] + h[1, 1]).real
     theta = float(np.arccos(np.clip(tr, -1.0, 1.0)))
-    if np.sin(theta) < 1e-12:
+    if np.sin(theta) < _TOL_SU2_DIAGONAL:
         return (0.0 if tr > 0 else np.pi), PAULI_I.copy()
     ev, vec = np.linalg.eig(h)
     order = np.argsort(-np.angle(ev))
@@ -363,15 +371,15 @@ def _two_branch_rows(branches: np.ndarray, gates: np.ndarray) -> np.ndarray:
 def _require_canonical_range(form: CanonicalForm) -> None:
     """Raise ValueError naming the first parameter outside the canonical range."""
     a = form.a
-    if not (1 / np.sqrt(2) - 1e-9 <= a <= 1 - 1e-12):
-        raise ValueError(f"a = {a} outside [1/sqrt(2), 1 - 1e-12]")
+    if not (1 / np.sqrt(2) - _SLACK_RANGE <= a <= 1 - _MARGIN_PRODUCT):
+        raise ValueError(f"a = {a} outside [1/sqrt(2), 1 - {_MARGIN_PRODUCT:g}]")
     for name, val, lo, hi in (
         ("alpha", form.alpha, -HALF_PI, HALF_PI),
         ("gamma", form.gamma, -HALF_PI, HALF_PI),
         ("beta", form.beta, 0.0, HALF_PI),
         ("beta_prime", form.beta_prime, 0.0, HALF_PI),
     ):
-        if not (lo - 1e-9 <= val <= hi + 1e-9):
+        if not (lo - _SLACK_RANGE <= val <= hi + _SLACK_RANGE):
             raise ValueError(f"{name} = {val} outside canonical range")
 
 

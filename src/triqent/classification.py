@@ -25,24 +25,24 @@ from .qcore import (
 )
 from .bipartite import SchmidtSplit, TauMatrix, schmidt_split, tangle, tau_matrix
 from .canonical import CanonicalForm, decompose_split
-
-TOL_TANGLE = 1e-9
-TOL_J6 = 1e-9
-TOL_INV = 1e-8
-_TOL_ROOT = 1e-12
-_TOL_ZERO = 1e-10
-# A root's phi (taken in (-pi, pi]) within this of [0, pi] is moved into it.
-_TOL_PHI = 1e-9
-_TOL_PURITY_TANGLE = 1e-10
-# The four CLU criteria scale with different powers of the distance to the
-# CLU manifold; each carries its own calibrated threshold.  Exact CLU inputs
-# sit below 1e-13 on every test; random NCLU samples were never observed
-# under 1e-8 on the extremality gap, 1e-9 on the polynomial residuals or
-# 1e-7 on the invariant imaginary part.
-TOL_CLU = 1e-10
-_TOL_REALITY = 1e-10
-_TOL_POLY = 1e-11
-_TOL_J6_IMAG = 1e-11
+from .tolerances import (
+    TOL_CLU,
+    TOL_INV,
+    TOL_J6,
+    TOL_TANGLE,
+    _NCLU_GAP,
+    _NCLU_POLY,
+    _NCLU_REALITY,
+    _PINNED_OVERLAP,
+    _TOL_J6_IMAG,
+    _TOL_PHI,
+    _TOL_POLY,
+    _TOL_PURITY_TANGLE,
+    _TOL_REALITY,
+    _TOL_ROOT,
+    _TOL_ROOT_RANK,
+    _TOL_ZERO,
+)
 
 
 class NotCLU(ValueError):
@@ -249,7 +249,7 @@ def standard_forms(tensors) -> StandardForms:
     mags = _modulus(entries)
     phases, phi = _phase_diagonals(mags > _TOL_ZERO, np.arctan2(entries.imag, entries.real))
     phi = np.where(phi < -_TOL_PHI, phi + 2 * np.pi, phi)
-    admissible = (sv[..., 1] <= 1e-9) & (phi <= np.pi + _TOL_PHI)
+    admissible = (sv[..., 1] <= _TOL_ROOT_RANK) & (phi <= np.pi + _TOL_PHI)
     admissible[:, 1] &= second_exists
     phi = np.minimum(np.maximum(phi, 0.0), np.pi)
     lambdas = np.concatenate([sv[..., :1], mags[..., 1:]], axis=-1)
@@ -317,17 +317,6 @@ def _invariants(lambdas, phi) -> InvariantSet:
 def j_invariants(form: AcinForm) -> InvariantSet:
     """Polynomial invariants of the standard form, plus the Schmidt weights."""
     return _invariants(np.array(form.lambdas), np.array(form.phi)).item()
-
-
-# Decisive bands for the cross-criteria consistency check.  The extremality
-# gap and the polynomial residuals detect the distance to the CLU manifold
-# only quadratically, so small values of theirs cannot certify CLU; values
-# above these bands, however, are sound NCLU proofs (exactly-CLU inputs stay
-# below 1e-13 on all of them).
-_NCLU_GAP = 1e-6
-_NCLU_POLY = 1e-7
-_NCLU_REALITY = 1e-6
-_PINNED_OVERLAP = 1e-4
 
 
 @dataclass(frozen=True)

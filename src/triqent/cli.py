@@ -27,6 +27,19 @@ from .classification import (
     realified_det_tau,
 )
 from .qcore import BiseparableInput, InternalCheckFailed, PureState
+from .tolerances import (
+    ATOL_NORM,
+    _BOUND_BRANCH,
+    _BOUND_CLOSED_FORM,
+    _BOUND_DET_TAU,
+    _BOUND_DRIFT,
+    _BOUND_MONOGAMY,
+    _BOUND_PROBABILITY,
+    _BOUND_SIGMA,
+    _BOUND_WITNESS,
+    _MIN_NORM,
+    _ORACLE_MIN_LAMBDA1,
+)
 
 DEFAULT_SEED_ENV = "TRIQENT_SEED"
 
@@ -62,15 +75,17 @@ def record_to_state(record: dict) -> PureState:
     if not isinstance(amps, list) or len(amps) != 8:
         raise ValueError(f"record {rec_id!r}: expected 8 amplitudes")
     try:
+        if any(isinstance(x, bool) for pair in amps for x in pair):
+            raise TypeError("JSON booleans are not numbers")
         vec = np.array([complex(re, im) for re, im in amps])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"record {rec_id!r}: amplitudes must be [re, im] number pairs") from exc
     if not np.isfinite(vec).all():
         raise ValueError(f"record {rec_id!r}: non-finite amplitude")
     norm = np.linalg.norm(vec)
-    if not 1e-12 <= norm < np.inf:
+    if not _MIN_NORM <= norm < np.inf:
         raise ValueError(f"record {rec_id!r}: not normalizable")
-    if abs(norm - 1) > 1e-12:
+    if abs(norm - 1) > ATOL_NORM:
         print(
             f"warning: record {rec_id!r} renormalized "
             f"(|norm-1| = {abs(norm - 1):.2e})",
@@ -306,7 +321,7 @@ def _suite_monogamy(count, seed):
     for i in range(count):
         tm = bipartite.tau_matrix(bipartite.schmidt_split(qcore.genuine_haar_state(seed + i)))
         worst = max(worst, abs(tm.ca23**2 - tm.c23**2 - bipartite.tangle(tm)))
-    return {"max_residual": worst, "passed": bool(worst < 1e-9), "tolerance": 1e-9}
+    return {"max_residual": worst, "passed": bool(worst < _BOUND_MONOGAMY), "tolerance": _BOUND_MONOGAMY}
 
 
 def _suite_invariance(count, seed, dressings=20):
@@ -328,13 +343,13 @@ def _suite_invariance(count, seed, dressings=20):
             )
             if m0.e6 != m1.e6 or lab1 is not lab0:
                 stable = False
-    passed = worst_e < 1e-8 and worst_j < 1e-8 and stable
+    passed = worst_e < _BOUND_DRIFT and worst_j < _BOUND_DRIFT and stable
     return {
         "max_measure_drift": worst_e,
         "max_invariant_drift": worst_j,
         "labels_stable": stable,
         "passed": bool(passed),
-        "tolerance": 1e-8,
+        "tolerance": _BOUND_DRIFT,
     }
 
 
@@ -356,7 +371,7 @@ def _suite_oracles(count, seed):
         c23, ca23 = bipartite.concurrence_pair_closed_form(tm)
         worst_closed = max(worst_closed, abs(tm.c23 - c23), abs(tm.ca23 - ca23))
         # det tau closed form (real standard forms only)
-        if lams[1] > 1e-6:
+        if lams[1] > _ORACLE_MIN_LAMBDA1:
             phi_real = float(rng.choice([0.0, np.pi]))
             form_r = AcinForm(tuple(lams), phi_real, qcore.LocalUnitary.identity(3))
             state_r = form_r.state()
@@ -371,7 +386,7 @@ def _suite_oracles(count, seed):
                 ).real
                 det_r = realified_det_tau(analyze(state_r))
                 worst_det = max(worst_det, abs(kp2 * km2 * det_r - rhs))
-    passed = worst_sigma < 1e-9 and worst_det < 1e-8 and worst_closed < 1e-9
+    passed = worst_sigma < _BOUND_SIGMA and worst_det < _BOUND_DET_TAU and worst_closed < _BOUND_CLOSED_FORM
     return {
         "max_sigma_vs_p": worst_sigma,
         "max_det_tau_residual": worst_det,
@@ -397,7 +412,7 @@ def _suite_gensim(count, seed):
         worst_prob = max(worst_prob, max(abs(o.probability - 1 / 256) for o in outcomes))
         agg = gensim.member_aggregates(outcomes)
         worst_agg = max(worst_agg, float(np.abs(agg - 0.25).max()))
-    passed = closed and worst_prob < 1e-12 and worst_agg < 1e-12
+    passed = closed and worst_prob < _BOUND_PROBABILITY and worst_agg < _BOUND_PROBABILITY
     return {
         "forms": len(fixtures),
         "closure": closed,
@@ -428,7 +443,7 @@ def _suite_roundtrip(count, seed):
         worst_wit = max(worst_wit, 1 - ov)
         eq, _ = invariants_equivalent(j_invariants(acin_standard_form(rec)), an.invariants)
         equivalent = equivalent and bool(eq)
-    passed = worst_branch < 1e-9 and worst_wit < 1e-9 and equivalent
+    passed = worst_branch < _BOUND_BRANCH and worst_wit < _BOUND_WITNESS and equivalent
     return {
         "max_branch_mismatch": worst_branch,
         "max_witness_misalignment": worst_wit,
@@ -497,9 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = int(os.environ.get(DEFAULT_SEED_ENV, "1"))
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            raw = os.environ.get(DEFAULT_SEED_ENV, "1")
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ValueError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}") from None
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,7 @@ from .qcore import BELL_BASIS, BiseparableInput, PureState, scalar_pow
 from .canonical import CanonicalForm, _two_branch_rows, branch_unitaries
 from .classification import invariants_equivalent, standard_forms
 from .measures import _rows
-
-# Outcome probabilities below this count as vanishing.
-_PROB_FLOOR = 1e-14
+from .tolerances import ATOL_GATE_UNITARY, _PROB_FLOOR
 
 
 class ClosureViolation(RuntimeError):
@@ -40,7 +38,7 @@ class ControlledGate:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
-        if u.shape != (2, 2) or np.linalg.norm(u.conj().T @ u - np.eye(2)) > 1e-12:
+        if u.shape != (2, 2) or np.linalg.norm(u.conj().T @ u - np.eye(2)) > ATOL_GATE_UNITARY:
             raise ValueError("gate unitary must be a 2x2 unitary")
         if self.control_qubit == self.target_qubit:
             raise ValueError("control and target must differ")

@@ -20,7 +20,6 @@ from .bipartite import (
 )
 from .canonical import (
     CanonicalForm,
-    TOL_MAXENT,
     _kron,
     _require_canonical_range,
     _two_branch_rows,
@@ -28,14 +27,17 @@ from .canonical import (
     canonical_representatives,
     form_from_params,
 )
+from .tolerances import (
+    TOL_E6,
+    TOL_MAXENT,
+    _BAND_NEAR_MAXENT,
+    _DEDUP_DECIMALS,
+    _TOL_BETA_EDGE,
+    _TOL_MATCH,
+    _TOL_MATCH_NEAR_MAXENT,
+    _TOL_XCHECK,
+)
 
-TOL_E6 = 1e-9
-_TOL_XCHECK = 1e-10
-# A candidate's measure set must reproduce the inverted one within this, or
-# within the wider band where a = b to 1e-4 and the gate angle and its phases
-# are identifiable only to O(a - b).
-_TOL_MATCH = 1e-6
-_TOL_MATCH_NEAR_MAXENT = 2e-2
 _PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
@@ -215,16 +217,17 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
 
     The raw candidates pair each of the four ``sums`` alpha + gamma that share
     |cos(alpha + gamma)| with each of the four ``diffs`` alpha - gamma that
-    share |sin(alpha - gamma)|.  Within 1e-9 of beta = pi/2 (cos^2 beta) only
-    alpha - gamma is physical and ``sums`` is (0,); within 1e-9 of beta = 0
-    (sin^2 beta) only alpha + gamma is, and ``diffs`` is (0,).  Either way beta
-    is put exactly on the edge.
+    share |sin(alpha - gamma)|.  Within ``_TOL_BETA_EDGE`` of beta = pi/2 (on
+    cos^2 beta) only alpha - gamma is physical and ``sums`` is (0,); within it
+    of beta = 0 (on sin^2 beta) only alpha + gamma is, and ``diffs`` is (0,).
+    Either way beta is put exactly on the edge.
 
     When a = b within tolerance only e1, e2 and e5 are independent, and the
     single degenerate candidate is returned (recognizable by its
     max_entangled_convention flag).  Close to equal Schmidt weights the split
     between the rotation angle of the controlled gate and its phases is
-    identifiable only to O(a - b); the acceptance filter widens accordingly.
+    identifiable only to O(a - b); within ``_BAND_NEAR_MAXENT`` of a^2 = b^2 the
+    acceptance filter widens from ``_TOL_MATCH`` to ``_TOL_MATCH_NEAR_MAXENT``.
 
     A candidate outside the canonical range is skipped; a failed internal
     cross-check propagates.  Raises InconsistentMeasures when no candidate
@@ -234,7 +237,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     a_sq = 0.5 * (1 + np.sqrt(max(1 - cs * cs, 0.0)))
     a = float(np.sqrt(a_sq))
     b = float(np.sqrt(max(1 - a_sq, 0.0)))
-    tol_match = _TOL_MATCH_NEAR_MAXENT if 0 < abs(2 * a_sq - 1) <= 1e-4 else _TOL_MATCH
+    tol_match = _TOL_MATCH_NEAR_MAXENT if 0 < abs(2 * a_sq - 1) <= _BAND_NEAR_MAXENT else _TOL_MATCH
 
     if a - b <= TOL_MAXENT:
         theta = float(np.arccos(_overlap_from_entropy(ms.e2)))
@@ -248,7 +251,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
         r5 = _overlap_from_entropy(ms.e5)
         kappa_sq = 1 - (1 - r5 * r5) / (4 * a_sq * (1 - a_sq))
         kappa_sq = min(max(kappa_sq, 0.0), 1.0)
-        if cos2_beta > 1e-9:
+        if cos2_beta > _TOL_BETA_EDGE:
             cos2_sum = min(max(v2 / cos2_beta, 0.0), 1.0)
             sums = _images(float(np.arccos(np.sqrt(cos2_sum))))
         else:
@@ -257,7 +260,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
             sums = (0.0,)
         beta = float(np.arccos(np.sqrt(cos2_beta)))
         sin2_beta = 1 - cos2_beta
-        if sin2_beta > 1e-9:
+        if sin2_beta > _TOL_BETA_EDGE:
             sin2_diff = min(max((kappa_sq - cos2_sum * cos2_beta) / sin2_beta, 0.0), 1.0)
             diffs = _images(float(np.arcsin(np.sqrt(sin2_diff))))
         else:
@@ -268,7 +271,7 @@ def invert_measures(ms: MeasureSet) -> list[CanonicalForm]:
     seen = set()
     result = []
     for params in canonical_representatives(raws):
-        key = tuple(np.round(params, 8))
+        key = tuple(np.round(params, _DEDUP_DECIMALS))
         if key in seen:
             continue
         seen.add(key)

@@ -11,13 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import (
+    ATOL_HERMITIAN,
+    ATOL_NEGATIVE,
+    ATOL_NORM,
+    ATOL_TRACE,
+    ATOL_UNITARY,
+    ATOL_UNNORMALIZED,
+    EIG_CLIP,
+    TOL_PRODUCT,
+)
+
 MIN_QUBITS = 2
 MAX_QUBITS = 11
-
-ATOL_NORM = 1e-12
-ATOL_UNITARY = 1e-9
-EIG_CLIP = 1e-10
-TOL_PRODUCT = 1e-8
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,11 +63,11 @@ def check(name: str, value: float, tol: float) -> None:
 
 def normalized_rows(amps: np.ndarray) -> np.ndarray:
     """``PureState``'s norm rule on the (..., d) amplitude rows ``amps``: a row
-    whose norm is off 1 by more than 1e-9 raises ValueError, and one off by
-    more than ``ATOL_NORM`` is divided by its norm."""
+    whose norm is off 1 by more than ``ATOL_UNNORMALIZED`` raises ValueError,
+    and one off by more than ``ATOL_NORM`` is divided by its norm."""
     norm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
     off = np.abs(norm - 1.0)
-    if (off > 1e-9).any():
+    if (off > ATOL_UNNORMALIZED).any():
         raise ValueError(f"state not normalized: |norm - 1| = {off.max():.3e}")
     rescale = (off > ATOL_NORM)[..., None]
     return np.where(rescale, amps / norm[..., None], amps) if rescale.any() else amps
@@ -135,14 +141,15 @@ class LocalUnitary:
 def density_spectra(m: np.ndarray) -> np.ndarray:
     """Ascending ``eigvalsh`` spectra of the (..., d, d) density matrices ``m``.
 
-    Raises ValueError unless every matrix is Hermitian and of unit trace to
-    1e-10 and has no eigenvalue below -1e-10."""
-    if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-10).any():
+    Raises ValueError unless every matrix is Hermitian to ``ATOL_HERMITIAN``
+    and of unit trace to ``ATOL_TRACE`` and has no eigenvalue below
+    -``ATOL_NEGATIVE``."""
+    if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > ATOL_HERMITIAN).any():
         raise ValueError("matrix is not Hermitian")
-    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
+    if (np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) > ATOL_TRACE).any():
         raise ValueError("trace is not 1")
     spectra = np.linalg.eigvalsh(m)
-    if (spectra[..., 0] < -1e-10).any():
+    if (spectra[..., 0] < -ATOL_NEGATIVE).any():
         raise ValueError("matrix has a significantly negative eigenvalue")
     return spectra
 

@@ -89,10 +89,11 @@ class TestRecordIO:
             ([1, 0, 0, 0, 0, 0, 0, 0], "number pairs"),
             ([["1", 0]] + [[0, 0]] * 7, "number pairs"),
             ([[1, 0, 0]] + [[0, 0]] * 7, "number pairs"),
+            ([[True, False]] + [[0, 0]] * 7, "number pairs"),
             ([[float("nan"), 0]] + [[1, 0]] * 7, "non-finite"),
             ([[1, float("inf")]] + [[0, 0]] * 7, "non-finite"),
         ],
-        ids=["bare-numbers", "string-part", "triple", "nan", "inf"],
+        ids=["bare-numbers", "string-part", "triple", "json-booleans", "nan", "inf"],
     )
     def test_rejects_malformed_amplitudes(self, amps, message, tmp_path, capsys):
         bad = {"id": "bad", "amplitudes": amps}
@@ -338,6 +339,13 @@ class TestRandom:
         _, out1 = run_cli(["random", "haar", "--count", "2"], capsys)
         _, out2 = run_cli(["random", "haar", "--count", "2", "--seed", "11"], capsys)
         assert out1 == out2
+
+    def test_bad_env_seed_is_an_error_not_a_crash(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIQENT_SEED", "abc")
+        code = main(["random", "haar", "--count", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: TRIQENT_SEED must be an integer, got 'abc'\n"
 
     def test_unknown_ensemble_rejected(self, capsys):
         with pytest.raises(SystemExit):
