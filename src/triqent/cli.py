@@ -53,9 +53,7 @@ def load_records(text: str) -> list[dict]:
         return []
     try:
         data = json.loads(text)
-        if isinstance(data, list):
-            return data
-        return [data]
+        return data if isinstance(data, list) else [data]
     except json.JSONDecodeError:
         records = []
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -86,11 +84,7 @@ def record_to_state(record: dict) -> PureState:
     if not _MIN_NORM <= norm < np.inf:
         raise ValueError(f"record {rec_id!r}: not normalizable")
     if abs(norm - 1) > ATOL_NORM:
-        print(
-            f"warning: record {rec_id!r} renormalized "
-            f"(|norm-1| = {abs(norm - 1):.2e})",
-            file=sys.stderr,
-        )
+        print(f"warning: record {rec_id!r} renormalized (|norm-1| = {abs(norm - 1):.2e})", file=sys.stderr)
         vec = vec / norm
     return PureState(3, vec)
 
@@ -396,11 +390,10 @@ def _suite_oracles(count, seed):
 
 
 def _suite_gensim(count, seed):
-    fixtures = [canonical.canonical_decomposition(qcore.ghz_state())]
     rng = np.random.default_rng(seed)
-    for kind in ("class2", "class3", "class4", "haar"):
-        fixtures.append(canonical.canonical_decomposition(_class_state(kind, rng)))
-    fixtures = fixtures[: max(count, 1)]
+    states = [qcore.ghz_state()]
+    states += [_class_state(kind, rng) for kind in ("class2", "class3", "class4", "haar")]
+    fixtures = [canonical.canonical_decomposition(state) for state in states[:count]]
     worst_prob = worst_agg = 0.0
     closed = True
     for form in fixtures:
@@ -470,6 +463,13 @@ def cmd_verify(args) -> int:
     return 0 if all(v["passed"] for v in summary.values()) else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--count``: a run that checks nothing must not pass."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triqent",
@@ -496,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="generate state records")
     p.add_argument("ensemble", choices=("haar", "real", "class2", "class3", "class4"))
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=None)
     add_common(p, with_input=False)
     p.set_defaults(fn=cmd_random)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("all", *_SUITES))
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None)
     add_common(p, with_input=False)
     p.set_defaults(fn=cmd_verify)

@@ -2,12 +2,13 @@
 
 Each controlled gate is implemented by consuming its channel state (the
 4-qubit encoding of the gate) with two Bell measurements (gate
-teleportation).  One contraction with the Bell basis gives the post states
-of all 16 outcome pairs of a gate at once, so two contractions give all 256
-outcomes of the protocol; they reproduce the closed four-state family of
-the two-branch decomposition, every outcome occurring with probability 1/256.
-Membership is decided on J invariants: one batched standard-form call on the
-four members and the 256 outcomes, then one (256, 4) comparison.
+teleportation).  Each gate's channel state, contracted once with the Bell
+basis, is one (64, 4) kernel; one matmul with it gives the post states of all
+16 outcome pairs of the gate, so two give all 256 outcomes of the protocol.
+They reproduce the closed four-state family of the two-branch decomposition,
+every outcome occurring with probability 1/256.  Membership is decided on J
+invariants: one batched standard-form call on the four members and the 256
+outcomes, then one (256, 4) comparison, whose rows index lookup tables.
 """
 
 from __future__ import annotations
@@ -71,11 +72,13 @@ def cj_state(gate: ControlledGate) -> PureState:
     Qubit order: control pair (a, b) then target pair (a, b).
     """
     phi = BELL_BASIS[0]
-    rotated = np.kron(gate.u, np.eye(2)) @ phi
-    amps = np.zeros(16, dtype=complex)
-    amps[:4] = phi / np.sqrt(2)        # |00> on the control pair
-    amps[12:] = rotated / np.sqrt(2)   # |11>
-    return PureState(4, amps)
+    # Control-pair blocks |00>, |01>, |10>, |11>; the middle two are empty.
+    return PureState(4, np.concatenate([phi, np.zeros(8), np.kron(gate.u, np.eye(2)) @ phi]) / np.sqrt(2))
+
+
+# Bell bra pairs, (16, 4, 4): [(k, l), (x, y), (c, t)] = <B_k|_(x, c) <B_l|_(y, t).
+_BELL_PAIRS = np.array(
+    [np.kron(bk.reshape(2, 2), bl.reshape(2, 2)) for bk in BELL_BASIS for bl in BELL_BASIS]).conj()
 
 
 def _teleport(psi: np.ndarray, gate: ControlledGate) -> np.ndarray:
@@ -84,16 +87,25 @@ def _teleport(psi: np.ndarray, gate: ControlledGate) -> np.ndarray:
     ``psi`` holds 3-qubit amplitude tensors of shape (..., 2, 2, 2).  The
     outcome k measures (cb, control) and l measures (tb, target) in the
     Bell basis; the ancillas ca and ta then take over the control and
-    target roles.  Returns the unnormalised post states, (..., 4, 4, 2, 2, 2).
+    target roles.  The kernel, channel state times Bell bra pairs, maps
+    (control, target) to (k, l, ca, ta); one matmul applies it to every input.
+    Returns the unnormalised post states, (..., 4, 4, 2, 2, 2).
     """
+    # Channel qubits (ca, cb, ta, tb) regrouped as [(ca, ta), (cb, tb)].
+    kernel = (cj_state(gate).tensor().transpose(0, 2, 1, 3).reshape(4, 4) @ _BELL_PAIRS).reshape(64, 4)
     axes = (gate.control_qubit - 4, gate.target_qubit - 4)
-    bell = np.array(BELL_BASIS).reshape(4, 2, 2).conj()
-    # a, x, b, y: channel qubits ca, cb, ta, tb; c, t: control, target; r: the third.
-    post = np.einsum(
-        "kxc,lyt,axby,...rct->...klrab",
-        bell, bell, cj_state(gate).tensor(), np.moveaxis(psi, axes, (-2, -1)),
-    )
-    return np.moveaxis(post, (-2, -1), axes)
+    (rest,) = {-3, -2, -1} - set(axes)
+    moved = np.moveaxis(psi, (*axes, rest), (-3, -2, -1))
+    post = kernel @ moved.reshape(*psi.shape[:-3], 4, 2)
+    return np.moveaxis(post.reshape(*psi.shape[:-3], 4, 4, 2, 2, 2), (-3, -2, -1), (*axes, rest))
+
+
+# Outcome labels ((k, l), (m, n)) in row order; (s_psi_index, matched_members)
+# for each match pattern, sum over matched members i of 2^i.
+_LABELS = tuple(((k, l), (m, n)) for k, l, m, n in np.ndindex(4, 4, 4, 4))
+_MEMBER_BITS = 1 << np.arange(4)
+_MATCHES = tuple(
+    (min(m, default=None), m) for m in (tuple(i for i in range(4) if bits >> i & 1) for bits in range(16)))
 
 
 def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
@@ -113,8 +125,7 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     u2, u3 = branch_unitaries(form.alpha, form.beta, form.gamma, form.beta_prime)
     psi_s = np.array([form.a, 0, 0, form.b], dtype=complex)
     base = _two_branch_rows(psi_s, np.eye(4, dtype=complex)).reshape(2, 2, 2)
-    finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3))
-    finals = finals.reshape(256, 8)
+    finals = _teleport(_teleport(base, ControlledGate(1, 2, u2)), ControlledGate(1, 3, u3)).reshape(256, 8)
     norm = np.sqrt(np.vecdot(finals.real, finals.real) + np.vecdot(finals.imag, finals.imag))
     probs = scalar_pow(norm, 2)
     if (probs < _PROB_FLOOR).any():
@@ -128,24 +139,13 @@ def enumerate_generation(form: CanonicalForm) -> list[GenerationOutcome]:
     except BiseparableInput as exc:
         raise ClosureViolation(f"family member (rows 0-3) or outcome not genuine: {exc}") from exc
     equal, _ = invariants_equivalent(inv[4:, None], inv[None, :4])
-    unmatched = np.flatnonzero(~equal.any(axis=1))
-    if unmatched.size:
-        outcome = tuple(int(i) for i in np.unravel_index(unmatched[0], (4, 4, 4, 4)))
-        raise ClosureViolation(f"outcome {outcome} not in the generation family")
-
-    outcomes = []
-    for row, ((k, l, m, n), hits) in enumerate(zip(np.ndindex(4, 4, 4, 4), equal.tolist())):
-        matches = tuple(i for i, hit in enumerate(hits) if hit)
-        outcomes.append(
-            GenerationOutcome(
-                bell_results=((k, l), (m, n)),
-                probability=float(probs[row]),
-                final_amplitudes=finals[row],
-                s_psi_index=min(matches),
-                matched_members=matches,
-            )
-        )
-    return outcomes
+    hits = equal @ _MEMBER_BITS
+    if not hits.all():
+        raise ClosureViolation(f"outcome {_LABELS[hits.argmin()]} not in the generation family")
+    return [
+        GenerationOutcome(label, prob, amps, *_MATCHES[hit])
+        for label, prob, amps, hit in zip(_LABELS, probs.tolist(), finals, hits.tolist())
+    ]
 
 
 def member_aggregates(outcomes) -> np.ndarray:

@@ -347,6 +347,14 @@ class TestRandom:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: TRIQENT_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("count", ["-3", "0", "x"])
+    def test_count_must_be_positive(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "haar", "--count", count])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --count: must be a positive integer, got {count!r}" in captured.err
+
     def test_unknown_ensemble_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["random", "bogus", "--count", "1"])
@@ -388,6 +396,18 @@ class TestVerify:
         code, out = run_cli(["verify", "gensim", "--count", "2", "--seed", "1"], capsys)
         assert code == 0
         assert json.loads(out)["gensim"]["passed"]
+
+    def test_count_zero_is_rejected_not_passed(self, capsys):
+        # A run that checks no state must not report "passed".
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--count", "0", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --count: must be a positive integer, got '0'" in captured.err
+
+    def test_gensim_suite_runs_count_forms(self, capsys):
+        code, out = run_cli(["verify", "gensim", "--count", "1", "--seed", "1"], capsys)
+        assert code == 0 and json.loads(out)["gensim"]["forms"] == 1
 
     def test_roundtrip_suite_passes(self, capsys):
         code, out = run_cli(["verify", "roundtrip", "--count", "15", "--seed", "2"], capsys)

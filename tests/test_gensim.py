@@ -1,9 +1,24 @@
+"""Tests of the generation protocol.
+
+``test_matches_parent_golden`` compares ``enumerate_generation`` with
+``data/gensim_golden.json``: per form, the input amplitudes as [re, im]
+pairs and one row per outcome, [bell_results, matched_members, s_psi_index,
+probability].  Regenerate the file (only when the outcome list is meant to
+change) with:
+
+    PYTHONPATH=src python tests/test_gensim.py
+"""
+
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triqent import gensim, qcore
+from triqent import cli, gensim, qcore
 from triqent.bipartite import binary_entropy
-from triqent.canonical import canonical_decomposition, form_from_params, zrot
+from triqent.canonical import branch_unitaries, canonical_decomposition, form_from_params, zrot
 from triqent.classification import acin_standard_form, j_invariants, lu_equivalent, standard_forms
 from triqent.gensim import (
     ControlledGate,
@@ -16,6 +31,10 @@ from triqent.measures import s_psi_set
 from triqent.qcore import PureState, density_spectra, entropies
 
 from conftest import genuine_haar, reduced
+
+GOLDEN = Path(__file__).parent / "data" / "gensim_golden.json"
+GOLDEN_PROB_TOL = 1e-15
+
 
 def controlled_matrix(u, target):
     if target == 2:
@@ -102,6 +121,14 @@ class TestTeleportation:
                 assert abs(np.vdot(got, got).real - 1 / 16) < 1e-12
 
 
+def clu_merge_state() -> PureState:
+    """|000> + 0.7 |+++>, normalised: a class-2 state whose outcomes each
+    match two members."""
+    vec = 0.7 * np.ones(8, dtype=complex) / np.sqrt(8)
+    vec[0] += 1.0
+    return PureState(3, vec / np.linalg.norm(vec))
+
+
 class TestEnumeration:
     def test_contracts_instead_of_projecting(self, monkeypatch):
         cj_calls = []
@@ -171,12 +198,7 @@ class TestEnumeration:
 
     def test_clu_partition_merges(self):
         # A generic CLU form: psi ~ psi*, psi' ~ psi'*, aggregates still 1/4.
-        plus = np.ones(8, dtype=complex) / np.sqrt(8)
-        e000 = np.zeros(8, dtype=complex)
-        e000[0] = 1.0
-        vec = e000 + 0.7 * plus
-        class2 = PureState(3, vec / np.linalg.norm(vec))
-        form = canonical_decomposition(class2)
+        form = canonical_decomposition(clu_merge_state())
         outcomes = enumerate_generation(form)
         sizes = {len(o.matched_members) for o in outcomes}
         assert sizes == {2}
@@ -198,3 +220,73 @@ class TestEnumeration:
                 for mi in member_invs
             )
             assert hit
+
+
+def golden_states() -> dict:
+    """The pinned inputs: GHZ, one state of each CLU class, one Haar state and
+    the CLU-merge state."""
+    rng = np.random.default_rng(7)
+    states = {"ghz": qcore.ghz_state()}
+    for kind in ("class2", "class3", "class4"):
+        states[kind] = cli._class_state(kind, rng)
+    states["haar"] = genuine_haar(124)
+    states["clu_merge"] = clu_merge_state()
+    return states
+
+
+def outcome_rows(state: PureState) -> list:
+    return [
+        [[list(pair) for pair in o.bell_results], list(o.matched_members), o.s_psi_index, o.probability]
+        for o in enumerate_generation(canonical_decomposition(state))
+    ]
+
+
+def test_matches_parent_golden():
+    # Bell labels, matches and indices exactly: relabelled outcomes would
+    # still pass the closure check.
+    for name, entry in json.loads(GOLDEN.read_text()).items():
+        state = PureState(3, np.array([complex(re, im) for re, im in entry["amplitudes"]]))
+        got = outcome_rows(state)
+        assert len(got) == len(entry["outcomes"]) == 256, name
+        for idx, (row, want) in enumerate(zip(got, entry["outcomes"])):
+            assert row[:3] == want[:3], f"{name}[{idx}]: {row[:3]} vs {want[:3]}"
+            assert abs(row[3] - want[3]) <= GOLDEN_PROB_TOL, f"{name}[{idx}]: {row[3]!r} vs {want[3]!r}"
+
+
+HALF_PI = np.pi / 2
+
+
+@given(
+    st.floats(0.72, 0.98),
+    st.floats(-HALF_PI, HALF_PI),
+    st.floats(0.05, HALF_PI - 0.05),
+    st.floats(-HALF_PI, HALF_PI),
+    st.floats(0.05, HALF_PI - 0.05),
+)
+@settings(max_examples=30, deadline=None)
+def test_outcomes_are_the_pauli_byproduct_states(a, alpha, beta, gamma, beta_prime):
+    # Outcome ((k, l), (m, n)) is C-U3 (sigma_m x sigma_n on 1, 3) C-U2
+    # (sigma_k x sigma_l on 1, 2) applied to (|0> + |1>)|psi_s>/sqrt(2).
+    form = form_from_params(a, alpha, beta, gamma, beta_prime)
+    u2, u3 = branch_unitaries(alpha, beta, gamma, beta_prime)
+    cu2, cu3 = controlled_matrix(u2, 2), controlled_matrix(u3, 3)
+    base = np.kron(np.ones(2) / np.sqrt(2), [form.a, 0, 0, form.b])
+    outcomes = enumerate_generation(form)
+    assert len(outcomes) == 256
+    for o in outcomes:
+        (k, l), (m, n) = o.bell_results
+        first = cu2 @ on_qubits({1: qcore.PAULIS[k], 2: qcore.PAULIS[l]}) @ base
+        expected = cu3 @ on_qubits({1: qcore.PAULIS[m], 3: qcore.PAULIS[n]}) @ first
+        expected /= np.linalg.norm(expected)
+        phase = np.vdot(expected, o.final_amplitudes)
+        assert np.abs(o.final_amplitudes - expected * phase / abs(phase)).max() < 1e-12
+
+
+if __name__ == "__main__":
+    entries = []
+    for name, state in golden_states().items():
+        amps = json.dumps([[z.real, z.imag] for z in state.amplitudes.tolist()])
+        rows = ",\n".join(f"   {json.dumps(row)}" for row in outcome_rows(state))
+        entries.append(f' {json.dumps(name)}: {{\n  "amplitudes": {amps},\n  "outcomes": [\n{rows}\n  ]\n }}')
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("{\n" + ",\n".join(entries) + "\n}\n")
